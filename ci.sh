@@ -39,6 +39,20 @@ go test -race -run 'TestFaultInjection|TestDecodeFault|TestInjectedHang|TestEval
 echo "== go test -race"
 go test -race ./...
 
+echo "== time-boxed fuzzing"
+# go test only replays each fuzz target's seed corpus; this step explores
+# new inputs for a fixed 10 s per target. A failing input is saved under
+# the package's testdata/fuzz/<target>/ and fails the gate.
+for target in \
+    .:FuzzAnalyzeDecoded \
+    .:FuzzSigVM \
+    .:FuzzCorpusSpec \
+    ./internal/resultcache:FuzzResultCacheCodec \
+    ./internal/dex:FuzzDexDecode \
+    ./internal/siglang:FuzzSiglangCanon; do
+    go test -run '^$' -fuzz "^${target#*:}\$" -fuzztime=10s "${target%%:*}"
+done
+
 echo "== result cache smoke under -race"
 # End-to-end warm-path gate on the real binaries: analyze the same .apkb
 # twice into one cache directory; the second (warm) run must produce an
@@ -58,10 +72,10 @@ go run -race ./cmd/extractocol -cache "$smoke/cache" -profile "$apkb" \
 
 echo "== differential harness under -race"
 # Correctness gate over the seeded generative corpus: 100 generated apps,
-# every equivalence axis (same-seed regeneration, serial/parallel,
-# cold/warm cache, budgeted/unbudgeted, oracle/indexed pairing, and the
-# interpretive-vs-compiled signature matcher over recorded and labeled
-# traffic) must be byte-identical. The deadline feeds the budgeted axis;
+# all five equivalence axes (same-seed regeneration, serial/parallel,
+# cold/warm cache, budgeted/unbudgeted, and the interpretive-vs-compiled
+# signature matcher over recorded and labeled traffic) must be
+# byte-identical. The deadline feeds the budgeted axis;
 # generous on purpose — a budget that trips under -race is itself a
 # mismatch.
 go run -race ./cmd/evaluate -gen 1729:100 -deadline 5m

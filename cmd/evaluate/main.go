@@ -34,9 +34,9 @@
 //	                             byte-identical reports across every
 //	                             equivalence axis (same-seed regeneration,
 //	                             serial/parallel, cold/warm cache,
-//	                             budgeted/unbudgeted, oracle/indexed
-//	                             pairing, interpretive/compiled signature
-//	                             matcher); exits nonzero on any mismatch
+//	                             budgeted/unbudgeted, interpretive/compiled
+//	                             signature matcher); exits nonzero on any
+//	                             mismatch
 //	evaluate -ops addr           serve the live ops plane on addr (e.g.
 //	                             :9090 or 127.0.0.1:0): /metrics in
 //	                             Prometheus text format, /healthz, and

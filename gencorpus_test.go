@@ -316,30 +316,68 @@ func TestGenMetamorphicObfuscation(t *testing.T) {
 	}
 }
 
-// ---- Default-report pin --------------------------------------------------
+// ---- Golden report digests ----------------------------------------------
 
-const reportDigestPath = "testdata/report_digest.json"
+const (
+	reportDigestPath = "testdata/report_digest.json"
+	genDigestsPath   = "testdata/gen_digests.json"
+)
 
 type reportDigest struct {
 	Apps   int    `json:"apps"`
 	Digest string `json:"digest"`
 }
 
-// TestDefaultReportsPinned hashes the canonical default report (text +
-// JSON, no opt-in layers) of every original corpus app against the
-// committed digest. It fails when default output changes for any reason —
-// in particular if the security lens ever renders without being asked.
+// TestDefaultReportsPinned hashes the canonical report (text + JSON, no
+// opt-in layers) of every app of each golden corpus against its committed
+// digest. It fails when analysis output changes for any reason — in
+// particular if the security lens ever renders without being asked. The
+// rows:
+//
+//   - the 34 paper apps under core.NewOptions(), in report_digest.json;
+//   - corpus.Rand(1729, 500) and corpus.Rand(42, 200) under the
+//     differential harness' baseline options (evaluate.OptionsFor), in
+//     gen_digests.json keyed "seed:N". Each equals the "Corpus report
+//     digest:" line `cmd/evaluate -gen seed:N` prints.
+//
+// The generated rows stand in for the retired reference implementations
+// (the string/map taint replay and the pairwise-scan pairing oracle), which
+// were byte-identical to the production paths on exactly these corpora.
 // Regenerate after an intentional report change with:
 //
 //	EXTRACTOCOL_REPORT_DIGEST=write go test -run TestDefaultReportsPinned .
 func TestDefaultReportsPinned(t *testing.T) {
 	if testing.Short() {
-		t.Skip("analyzes the whole corpus")
+		t.Skip("analyzes 734 apps")
 	}
-	apps := corpus.Apps()
+	defaults := func(*corpus.App) core.Options { return core.NewOptions() }
+	rows := []struct {
+		name string
+		apps func() []*corpus.App
+		opts func(*corpus.App) core.Options
+		path string
+		key  string // "" when the file holds a single digest
+	}{
+		{"paper", corpus.Apps, defaults, reportDigestPath, ""},
+		{"gen-1729-500", func() []*corpus.App { return corpus.Rand(1729, 500) }, evaluate.OptionsFor, genDigestsPath, "1729:500"},
+		{"gen-42-200", func() []*corpus.App { return corpus.Rand(42, 200) }, evaluate.OptionsFor, genDigestsPath, "42:200"},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			checkReportDigest(t, row.path, row.key, row.apps(), row.opts)
+		})
+	}
+}
+
+// checkReportDigest hashes the canonical reports of apps, analyzed in order
+// under opts, and compares the digest with the one pinned at path (under key
+// when the file maps several corpora). With EXTRACTOCOL_REPORT_DIGEST=write
+// it records the digest instead; a missing pin is a failure otherwise.
+func checkReportDigest(t *testing.T, path, key string, apps []*corpus.App, opts func(*corpus.App) core.Options) {
+	t.Helper()
 	h := sha256.New()
 	for _, app := range apps {
-		rep, err := core.Analyze(app.Prog, core.NewOptions())
+		rep, err := core.Analyze(app.Prog, opts(app))
 		if err != nil {
 			t.Fatalf("%s: %v", app.Spec.Name, err)
 		}
@@ -351,31 +389,50 @@ func TestDefaultReportsPinned(t *testing.T) {
 	}
 	cur := reportDigest{Apps: len(apps), Digest: hex.EncodeToString(h.Sum(nil))}
 
-	data, err := os.ReadFile(reportDigestPath)
-	if os.IsNotExist(err) || os.Getenv("EXTRACTOCOL_REPORT_DIGEST") == "write" {
-		out, merr := json.MarshalIndent(cur, "", "  ")
-		if merr != nil {
-			t.Fatal(merr)
-		}
-		if werr := os.WriteFile(reportDigestPath, append(out, '\n'), 0o644); werr != nil {
-			t.Fatal(werr)
-		}
-		t.Logf("wrote %s: %s", reportDigestPath, out)
-		return
+	write := os.Getenv("EXTRACTOCOL_REPORT_DIGEST") == "write"
+	pinned := map[string]reportDigest{}
+	data, err := os.ReadFile(path)
+	switch {
+	case os.IsNotExist(err) && write:
+		err = nil
+	case err != nil:
+		t.Fatal(err)
+	case key == "":
+		var d reportDigest
+		err = json.Unmarshal(data, &d)
+		pinned[key] = d
+	default:
+		err = json.Unmarshal(data, &pinned)
 	}
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("corrupt %s: %v", path, err)
 	}
-	var base reportDigest
-	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatalf("corrupt %s: %v", reportDigestPath, err)
+	if write {
+		pinned[key] = cur
+		var v any = pinned
+		if key == "" {
+			v = cur
+		}
+		out, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %s: %s", path, out)
+		return
+	}
+	base, ok := pinned[key]
+	if !ok {
+		t.Fatalf("%s pins no digest for %q", path, key)
 	}
 	if cur.Apps != base.Apps {
-		t.Fatalf("corpus has %d apps, digest pins %d; regenerate %s", cur.Apps, base.Apps, reportDigestPath)
+		t.Fatalf("corpus has %d apps, digest pins %d; regenerate %s", cur.Apps, base.Apps, path)
 	}
 	if cur.Digest != base.Digest {
-		t.Errorf("default corpus reports changed: digest %s, pinned %s; if intentional, regenerate %s",
-			cur.Digest, base.Digest, reportDigestPath)
+		t.Errorf("corpus reports changed: digest %s, pinned %s; if intentional, regenerate %s",
+			cur.Digest, base.Digest, path)
 	}
 }
 

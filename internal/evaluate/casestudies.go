@@ -131,13 +131,13 @@ func Table6() (string, error) {
 // the number of open-source apps whose signature sets were identical.
 func ObfuscationCheck() (identical, total int, err error) {
 	for _, app := range corpus.OpenSource() {
-		plain, aerr := core.Analyze(app.Prog, optionsFor(app))
+		plain, aerr := core.Analyze(app.Prog, OptionsFor(app))
 		if aerr != nil {
 			return 0, 0, fmt.Errorf("%s: %w", app.Spec.Name, aerr)
 		}
 		obf := mustApp(app.Spec.Name)
 		obfuscate.Apply(obf.Prog, obfuscate.Options{KeepEntryPoints: true})
-		after, aerr := core.Analyze(obf.Prog, optionsFor(app))
+		after, aerr := core.Analyze(obf.Prog, OptionsFor(app))
 		if aerr != nil {
 			return 0, 0, fmt.Errorf("%s (obfuscated): %w", app.Spec.Name, aerr)
 		}
@@ -177,7 +177,7 @@ func sigSet(r *core.Report) string {
 // slices (the paper reports 6.3% for Fig. 3).
 func DiodeSliceFraction() (float64, error) {
 	app := corpus.Diode()
-	rep, err := core.Analyze(app.Prog, optionsFor(app))
+	rep, err := core.Analyze(app.Prog, OptionsFor(app))
 	if err != nil {
 		return 0, err
 	}

@@ -23,11 +23,12 @@ import (
 
 // Differential-testing harness: the seeded generative corpus (corpus.Rand)
 // is run through every configuration that must not change analysis output —
-// serial vs parallel fan-out, cold vs warm result cache, budgeted vs
-// unbudgeted execution, and oracle vs inverted-index pairing — and every
-// app's report is compared byte-for-byte against the serial baseline. A
-// same-seed regeneration pass closes the loop: the corpus itself must be
-// reproducible, not just the analysis of one in-memory instance of it.
+// serial vs parallel fan-out, cold vs warm result cache, and budgeted vs
+// unbudgeted execution — and every app's report is compared byte-for-byte
+// against the serial baseline. A same-seed regeneration pass closes the
+// loop: the corpus itself must be reproducible, not just the analysis of
+// one in-memory instance of it. A final axis classifies each app's traffic
+// through both signature-matcher backends.
 
 // DiffConfig parameterizes one differential run.
 type DiffConfig struct {
@@ -116,7 +117,7 @@ func analyzeGen(apps []*corpus.App, workers int, mutate func(*corpus.App, *core.
 	errs := make([]error, len(apps))
 	run := func(i int) {
 		app := apps[i]
-		opts := optionsFor(app)
+		opts := OptionsFor(app)
 		if mutate != nil {
 			if err := mutate(app, &opts); err != nil {
 				errs[i] = fmt.Errorf("%s: %w", app.Spec.Name, err)
@@ -327,39 +328,7 @@ func RunDifferential(cfg DiffConfig) (*DiffResult, error) {
 		return nil, err
 	}
 
-	// Axis 5: pairing oracle vs inverted index, over the whole corpus.
-	err = axis("pairing", "oracle pairwise-scan vs inverted-index pairing", func() ([]DiffMismatch, error) {
-		got, err := analyzeGen(apps, 1, tel(func(_ *corpus.App, opts *core.Options) error {
-			opts.PairingOracle = true
-			return nil
-		}))
-		if err != nil {
-			return nil, err
-		}
-		return compareAxis(apps, baseline, got, ""), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Axis 6: legacy string/map taint replay vs dense interned path. Every
-	// taint fixpoint (slicing and pairing flow checks) runs on the
-	// pre-interning implementation; reports must be byte-identical.
-	err = axis("legacysets", "legacy string/map taint sets vs dense bitsets", func() ([]DiffMismatch, error) {
-		got, err := analyzeGen(apps, 1, tel(func(_ *corpus.App, opts *core.Options) error {
-			opts.LegacySets = true
-			return nil
-		}))
-		if err != nil {
-			return nil, err
-		}
-		return compareAxis(apps, baseline, got, ""), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Axis 7: interpretive signature matcher vs compiled sigvm bytecode.
+	// Axis 5: interpretive signature matcher vs compiled sigvm bytecode.
 	// Every app's signatures classify two traffic sources — the recorded
 	// trace of a manual fuzz session and seeded labeled entries from
 	// trace.RandEntries — through both backends (the VM under parallel
@@ -368,7 +337,7 @@ func RunDifferential(cfg DiffConfig) (*DiffResult, error) {
 	err = axis("matchvm", "interpretive matcher vs compiled sigvm bytecode", func() ([]DiffMismatch, error) {
 		var out []DiffMismatch
 		for i, app := range apps {
-			aopts := optionsFor(app)
+			aopts := OptionsFor(app)
 			aopts.Obs = cfg.Obs
 			aopts.Events = cfg.Events
 			rep, err := core.Analyze(app.Prog, aopts)

@@ -7,12 +7,12 @@ import (
 	"extractocol/internal/corpus"
 )
 
-// TestRunDifferentialSmallCorpus runs the full seven-axis harness over a
+// TestRunDifferentialSmallCorpus runs the full five-axis harness over a
 // small generated corpus — the same gate ci.sh runs at N=100, kept small
 // enough for every `go test ./...`.
 func TestRunDifferentialSmallCorpus(t *testing.T) {
 	if testing.Short() {
-		t.Skip("analyzes a generated corpus eight times")
+		t.Skip("analyzes a generated corpus six times")
 	}
 	res, err := RunDifferential(DiffConfig{Seed: 1729, N: 8})
 	if err != nil {
@@ -21,8 +21,8 @@ func TestRunDifferentialSmallCorpus(t *testing.T) {
 	if got := res.Mismatches(); got != 0 {
 		t.Fatalf("%d mismatches:\n%s", got, FormatDifferential(res))
 	}
-	if len(res.Axes) != 7 {
-		t.Fatalf("%d axes, want 7", len(res.Axes))
+	if len(res.Axes) != 5 {
+		t.Fatalf("%d axes, want 5", len(res.Axes))
 	}
 	if last := res.Axes[len(res.Axes)-1]; last.Name != "matchvm" {
 		t.Fatalf("last axis = %s, want matchvm", last.Name)

@@ -28,10 +28,11 @@ import (
 // Methods enumerated in Table 1 order.
 var Methods = []string{"GET", "POST", "PUT", "DELETE"}
 
-// optionsFor mirrors the paper's configuration: the asynchronous-event
+// OptionsFor mirrors the paper's configuration: the asynchronous-event
 // heuristic is disabled for open-source apps and enabled for closed-source
-// apps (§5.1).
-func optionsFor(app *corpus.App) core.Options {
+// apps (§5.1). It is also the differential harness' baseline, so the
+// generated-corpus golden digests are taken under it.
+func OptionsFor(app *corpus.App) core.Options {
 	opts := core.NewOptions()
 	if app.Spec.OpenSource {
 		opts.MaxAsyncHops = 0
@@ -87,7 +88,7 @@ func RunApp(app *corpus.App) (*AppResult, error) {
 
 // RunAppConfig is RunApp with the config's budgets applied.
 func RunAppConfig(app *corpus.App, cfg RunConfig) (*AppResult, error) {
-	opts := optionsFor(app)
+	opts := OptionsFor(app)
 	opts.Deadline = cfg.Deadline
 	opts.MaxSliceSteps = cfg.MaxSliceSteps
 	opts.MaxFixpointIters = cfg.MaxFixpointIters

@@ -1,25 +1,104 @@
 package pairing
 
-// The pre-index implementation of Analyze lives in oracle.go as the
-// exported AnalyzeOracle (the differential harness also compares against
-// it). The indexed rewrite in pairing.go must produce deep-equal output for
-// any input; the equivalence tests below check that over hand-built edge
-// cases, randomized transaction sets, and real corpus slices.
+// The pre-index implementation of Analyze survives here as analyzeOracle.
+// The indexed rewrite in pairing.go must produce deep-equal output for any
+// input; the equivalence tests below check that over hand-built edge cases,
+// randomized transaction sets, and real corpus slices.
 
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
 	"extractocol/internal/callgraph"
 	"extractocol/internal/corpus"
+	"extractocol/internal/intern"
 	"extractocol/internal/semmodel"
 	"extractocol/internal/slice"
 	"extractocol/internal/taint"
 )
 
-// analyzeOracle keeps the historical test-local name.
-var analyzeOracle = AnalyzeOracle
+// analyzeOracle is the reference pairwise-scan implementation of Analyze,
+// kept verbatim from before the inverted-index rewrite. It is quadratic in
+// the per-DP group size but trivially auditable; the equivalence tests below
+// hold Analyze to deep-equal output on every input.
+func analyzeOracle(txs []*slice.Transaction) []Pair {
+	byDP := map[taint.StmtID][]*slice.Transaction{}
+	for _, tx := range txs {
+		byDP[tx.DP] = append(byDP[tx.DP], tx)
+	}
+	out := make([]Pair, 0, len(txs))
+	for _, tx := range txs {
+		group := byDP[tx.DP]
+		p := Pair{
+			Tx:               tx,
+			HasResponse:      tx.Response != nil && tx.Response.Size() > 0,
+			DisjointRequest:  oracleDisjoint(tx.Request, oracleRequestsOf(group, tx)),
+			DisjointResponse: oracleDisjoint(tx.Response, oracleResponsesOf(group, tx)),
+		}
+		p.OneToOne = p.HasResponse && (len(group) == 1 || !p.DisjointResponse.Empty())
+		if p.HasResponse && len(group) > 1 && p.DisjointResponse.Empty() {
+			p.SharedHandler = oracleSameStmtsAsAnother(tx, group)
+		}
+		out = append(out, p)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Tx.ID < out[j].Tx.ID })
+	return out
+}
+
+func oracleRequestsOf(group []*slice.Transaction, skip *slice.Transaction) []*taint.Result {
+	var rs []*taint.Result
+	for _, t := range group {
+		if t != skip && t.Request != nil {
+			rs = append(rs, t.Request)
+		}
+	}
+	return rs
+}
+
+func oracleResponsesOf(group []*slice.Transaction, skip *slice.Transaction) []*taint.Result {
+	var rs []*taint.Result
+	for _, t := range group {
+		if t != skip && t.Response != nil {
+			rs = append(rs, t.Response)
+		}
+	}
+	return rs
+}
+
+func oracleDisjoint(r *taint.Result, others []*taint.Result) *intern.Bits {
+	out := &intern.Bits{}
+	if r == nil {
+		return out
+	}
+	r.Stmts().Each(func(s uint32) bool {
+		shared := false
+		for _, o := range others {
+			if o.Stmts().Has(s) {
+				shared = true
+				break
+			}
+		}
+		if !shared {
+			out.Add(s)
+		}
+		return true
+	})
+	return out
+}
+
+func oracleSameStmtsAsAnother(tx *slice.Transaction, group []*slice.Transaction) bool {
+	for _, o := range group {
+		if o == tx || o.Response == nil || tx.Response == nil {
+			continue
+		}
+		if tx.Response.Stmts().Equal(o.Response.Stmts()) {
+			return true
+		}
+	}
+	return false
+}
 
 // requireEquivalent fails unless the indexed Analyze and the oracle agree on
 // every Pair field, including nil-vs-empty map distinctions.

@@ -199,13 +199,9 @@ func HashBytes(data []byte) string {
 // clean-runs-only store policy). The deterministic step budgets DO
 // participate, because a truncating budget changes which transactions
 // survive. A custom semantic model makes the options non-cacheable (second
-// return false): two distinct models would collide on one fingerprint. The
-// same policy covers PairingOracle and LegacySets: both are
-// differential-testing reference paths, and caching them would either
-// collide with production entries or double every fingerprint for modes no
-// production run uses.
+// return false): two distinct models would collide on one fingerprint.
 func Fingerprint(opts core.Options) (string, bool) {
-	if opts.Model != nil || opts.PairingOracle || opts.LegacySets {
+	if opts.Model != nil {
 		return "", false
 	}
 	var b strings.Builder

@@ -19,8 +19,8 @@
 // number of matcher goroutines; all mutable run state (Pike thread lists,
 // visited marks) lives in per-worker Matcher values. The interpretive
 // matcher stays the equivalence oracle: trace.MatchOptions selects the
-// backend, a differential axis in internal/evaluate compares the two over
-// generated corpora, and FuzzSigVM compares them per primitive.
+// backend, the matchvm differential axis in internal/evaluate compares the
+// two over generated corpora, and FuzzSigVM compares them per primitive.
 package sigvm
 
 import (

@@ -94,11 +94,6 @@ type Options struct {
 	// budgets force serial extraction so the completed-transaction set is
 	// a deterministic prefix of the unbudgeted run.
 	Budget *budget.Budget
-	// LegacySets runs the taint engines on the pre-interning string/map
-	// replay instead of the dense bitset path. It exists as a differential
-	// oracle (see cmd/evaluate's legacy-sets axis) and is much slower;
-	// reports must come out identical either way.
-	LegacySets bool
 }
 
 // sliceJob is one (entry point, demarcation-point site) extraction unit.
@@ -332,7 +327,6 @@ func buildTransaction(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
 	eng.Summaries = sums
 	eng.Budget = opts.Budget
 	eng.BudgetPhase = budget.PhaseSlice
-	eng.Legacy = opts.LegacySets
 
 	// Request side.
 	if mm.ReqArg >= 0 && mm.ReqArg < len(in.Args) {

@@ -10,13 +10,10 @@ import (
 // taint-propagation rules (tainted LHS taints RHS; callee parameters taint
 // caller arguments; taint is consumed at definitions).
 //
-// Propagation rules live in the buildBackward* functions below as transfer
+// Propagation rules live in the scanBackward* functions below as transfer
 // summaries; the worklist loop replays memoized summaries (see summary.go).
 func (e *Engine) Backward(dp StmtID, reg int) *Result {
 	e.ensure()
-	if e.Legacy {
-		return e.legacyBackward(dp, reg)
-	}
 	res := e.newResult()
 	w := newDenseWorklist(e.idx)
 	res.AddStmt(dp.Method, dp.Index)
@@ -27,18 +24,9 @@ func (e *Engine) Backward(dp StmtID, reg int) *Result {
 	return res
 }
 
-// buildBackward derives the string-form backward summary of (method, reg)
-// for the legacy replay engine; the hot path lowers the same scan straight
-// to compiled form through a denseBuilder (see compiledLookup).
-func (e *Engine) buildBackward(method string, reg int) *methodSummary {
-	b := &sumBuilder{e: e}
-	e.scanBackward(b, method, reg)
-	return b.done()
-}
-
 // scanBackward emits the backward transfer effects of (method, reg) — the
 // effects of processing one backward fact for that register — into b.
-func (e *Engine) scanBackward(b sumEmitter, method string, reg int) {
+func (e *Engine) scanBackward(b *denseBuilder, method string, reg int) {
 	m := e.Prog.Method(method)
 	if m == nil {
 		return
@@ -58,7 +46,7 @@ func (e *Engine) scanBackward(b sumEmitter, method string, reg int) {
 
 // sumBackwardDef handles a statement that defines the tainted register: the
 // statement joins the slice and its operands become tainted.
-func (e *Engine) sumBackwardDef(b sumEmitter, m *ir.Method, idx int, in *ir.Instr) {
+func (e *Engine) sumBackwardDef(b *denseBuilder, m *ir.Method, idx int, in *ir.Instr) {
 	b.include(m, idx)
 	switch in.Op {
 	case ir.OpConstStr, ir.OpConstInt, ir.OpConstNull, ir.OpNew:
@@ -82,7 +70,7 @@ func (e *Engine) sumBackwardDef(b sumEmitter, m *ir.Method, idx int, in *ir.Inst
 	}
 }
 
-func (e *Engine) sumBackwardInvokeDef(b sumEmitter, m *ir.Method, idx int, in *ir.Instr) {
+func (e *Engine) sumBackwardInvokeDef(b *denseBuilder, m *ir.Method, idx int, in *ir.Instr) {
 	pushArg := func(pos int) {
 		if pos < len(in.Args) && in.Args[pos] != ir.NoReg {
 			b.push(m.Ref(), in.Args[pos])
@@ -168,7 +156,7 @@ func (e *Engine) sumBackwardInvokeDef(b sumEmitter, m *ir.Method, idx int, in *i
 // sumBackwardMutation adds statements that mutate the tainted object: calls
 // with the object as receiver of a modeled mutator, field stores into it,
 // and app calls the object escapes into.
-func (e *Engine) sumBackwardMutation(b sumEmitter, m *ir.Method, idx int, in *ir.Instr, reg int) {
+func (e *Engine) sumBackwardMutation(b *denseBuilder, m *ir.Method, idx int, in *ir.Instr, reg int) {
 	switch in.Op {
 	case ir.OpFieldPut:
 		if in.A == reg {
@@ -246,7 +234,7 @@ func isMutator(k semmodel.Kind) bool {
 // never cross the transaction context — only heap facts may escape it (as
 // asynchronous hops) — so every caller-side effect is gated on the caller;
 // facts that already escaped (hops > 0) continue in their writer's context.
-func (e *Engine) sumBackwardToCallers(b sumEmitter, m *ir.Method, reg int) {
+func (e *Engine) sumBackwardToCallers(b *denseBuilder, m *ir.Method, reg int) {
 	for _, edge := range e.CG.Callers(m.Ref()) {
 		caller := e.Prog.Method(edge.Caller)
 		if caller == nil {

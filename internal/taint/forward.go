@@ -11,13 +11,10 @@ import (
 // forward propagation rules apply; heap writes record response-originated
 // objects for inter-transaction dependency analysis.
 //
-// Propagation rules live in the buildForward* functions below as transfer
+// Propagation rules live in the scanForward* functions below as transfer
 // summaries; the worklist loop replays memoized summaries (see summary.go).
 func (e *Engine) Forward(origin StmtID, reg int) *Result {
 	e.ensure()
-	if e.Legacy {
-		return e.legacyForward(origin, reg)
-	}
 	res := e.newResult()
 	w := newDenseWorklist(e.idx)
 	res.AddStmt(origin.Method, origin.Index)
@@ -33,9 +30,6 @@ func (e *Engine) Forward(origin StmtID, reg int) *Result {
 // taints URI slices and checks reachability into response slices.
 func (e *Engine) ForwardFacts(seeds map[StmtID]int) *Result {
 	e.ensure()
-	if e.Legacy {
-		return e.legacyForwardFacts(seeds)
-	}
 	res := e.newResult()
 	w := newDenseWorklist(e.idx)
 	// Seeds are pushed in sorted (method, index) order so the worklist —
@@ -56,18 +50,9 @@ func (e *Engine) ForwardFacts(seeds map[StmtID]int) *Result {
 	return res
 }
 
-// buildForward derives the string-form forward summary of (method, reg)
-// for the legacy replay engine; the hot path lowers the same scan straight
-// to compiled form through a denseBuilder (see compiledLookup).
-func (e *Engine) buildForward(method string, reg int) *methodSummary {
-	b := &sumBuilder{e: e}
-	e.scanForward(b, method, reg)
-	return b.done()
-}
-
 // scanForward emits the forward transfer effects of (method, reg) — the
 // effects of processing one forward fact for that register — into b.
-func (e *Engine) scanForward(b sumEmitter, method string, reg int) {
+func (e *Engine) scanForward(b *denseBuilder, method string, reg int) {
 	m := e.Prog.Method(method)
 	if m == nil {
 		return
@@ -117,7 +102,7 @@ func (e *Engine) scanForward(b sumEmitter, method string, reg int) {
 	}
 }
 
-func (e *Engine) sumForwardInvoke(b sumEmitter, m *ir.Method, idx int, in *ir.Instr, reg int) {
+func (e *Engine) sumForwardInvoke(b *denseBuilder, m *ir.Method, idx int, in *ir.Instr, reg int) {
 	pushDst := func() {
 		if in.Dst != ir.NoReg {
 			b.push(m.Ref(), in.Dst)
@@ -196,7 +181,7 @@ func (e *Engine) sumForwardInvoke(b sumEmitter, m *ir.Method, idx int, in *ir.In
 
 // sumForwardToCallers propagates a tainted return value into each caller's
 // destination register, and along synthetic async chains.
-func (e *Engine) sumForwardToCallers(b sumEmitter, m *ir.Method) {
+func (e *Engine) sumForwardToCallers(b *denseBuilder, m *ir.Method) {
 	for _, edge := range e.CG.Callees(m.Ref()) {
 		if edge.Site == -1 && edge.Implicit {
 			// doInBackground -> onPostExecute: return value becomes the

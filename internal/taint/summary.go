@@ -30,57 +30,15 @@ import (
 // rules. Heap fact propagation is handled by a program-wide access index
 // (location -> writers / readers) built once on first use.
 //
-// The scan logic in backward.go and forward.go emits effects through the
-// sumEmitter interface, so one scan serves two summary forms: sumBuilder
-// accumulates the string form the legacy replay consumes, and denseBuilder
-// lowers effects straight to compiled form — statement and method names
-// resolved through the program's ir.Index, heap locations and tags interned
-// through the cache's symbol table — so the hot worklist loop replays pure
-// integer effects without ever materializing the string form. Because
+// The scan logic in backward.go and forward.go emits effects into a
+// denseBuilder, which lowers them straight to compiled form — statement and
+// method names resolved through the program's ir.Index, heap locations and
+// tags interned through the cache's symbol table — so the hot worklist loop
+// replays pure integer effects without ever materializing strings. Because
 // effects replay in recorded order and recorded order equals the scan order
 // of the direct implementation, a summarized engine produces byte-identical
 // slices to the pre-summary engine, while every transaction after the first
 // reuses the summaries instead of re-traversing shared callees.
-
-// sumKey identifies one transfer-summary query.
-type sumKey struct {
-	method string
-	reg    int
-}
-
-// sumInclude is one statement joining the slice, with its modeled
-// source/sink tags resolved at build time so replay needs no instruction
-// access.
-type sumInclude struct {
-	stmt   StmtID
-	source string
-	sink   string
-}
-
-// sumPush is one successor fact (hops are assigned at replay time).
-type sumPush struct {
-	heap   bool
-	method string // local pushes: owning method
-	reg    int    // local pushes: register
-	loc    string // heap pushes: location id
-}
-
-// sumEntry is one ordered group of effects. gate == "" applies always;
-// otherwise the group applies only when the gate method is in the universe
-// or the fact has hops > 0.
-type sumEntry struct {
-	gate       string
-	includes   []sumInclude
-	heapReads  []string
-	heapWrites []string
-	pushes     []sumPush
-}
-
-// methodSummary is the full transfer summary of one (method, register)
-// query in one direction.
-type methodSummary struct {
-	entries []sumEntry
-}
 
 // heapSite is one statement accessing a heap location: a writer (field/
 // static put, reg = stored register) for backward propagation, or a reader
@@ -93,19 +51,19 @@ type heapSite struct {
 
 // gateUnresolved marks a gate method the index cannot resolve (impossible
 // for summaries built over an indexed program, kept defensively): it fails
-// every non-nil universe, like an unresolvable ref failed the legacy map
-// lookup.
+// every non-nil universe.
 const gateUnresolved = intern.None - 1
 
-// cInclude is sumInclude in dense form: a program-index statement ID plus
-// interned source/sink tags (intern.None when untagged).
+// cInclude is one statement joining the slice: a program-index statement ID
+// plus its modeled source/sink tags (interned; intern.None when untagged),
+// resolved at build time so replay needs no instruction access.
 type cInclude struct {
 	stmt   uint32
 	source uint32
 	sink   uint32
 }
 
-// cPush is sumPush in dense form.
+// cPush is one successor fact (hops are assigned at replay time).
 type cPush struct {
 	heap   bool
 	method uint32 // local pushes: dense method ID
@@ -113,7 +71,9 @@ type cPush struct {
 	loc    uint32 // heap pushes: interned location ID
 }
 
-// cEntry is sumEntry in dense form; gate == intern.None applies always.
+// cEntry is one ordered group of effects. gate == intern.None applies
+// always; otherwise the group applies only when the gate method is in the
+// universe or the fact has hops > 0.
 type cEntry struct {
 	gate       uint32
 	includes   []cInclude
@@ -122,7 +82,8 @@ type cEntry struct {
 	pushes     []cPush
 }
 
-// cSummary is a compiled methodSummary.
+// cSummary is the full compiled transfer summary of one (method, register)
+// query in one direction.
 type cSummary struct {
 	entries []cEntry
 }
@@ -135,24 +96,18 @@ type cHeapSite struct {
 }
 
 // SummaryCache memoizes taint transfer summaries and the program-wide heap
-// access index, in both string form (legacy replay) and compiled dense form
-// (hot path), and owns the symbol table heap locations and source/sink tags
-// are interned through. One cache may be shared by any number of engines
+// access index in compiled dense form, and owns the symbol table heap
+// locations and source/sink tags are interned through. One cache may be shared by any number of engines
 // analyzing the same (program, model, call graph) triple — core.Analyze
 // shares one across all slice workers and the pairing flow checks — and is
 // safe for concurrent use. The zero value is not usable; call
 // NewSummaryCache.
 type SummaryCache struct {
-	mu      sync.RWMutex
-	tab     *intern.SyncTable
-	bwd     map[sumKey]*methodSummary
-	fwd     map[sumKey]*methodSummary
-	writers map[string][]heapSite // heap location -> writing statements
-	readers map[string][]heapSite // heap location -> reading statements
+	mu  sync.RWMutex
+	tab *intern.SyncTable
 
-	// Compiled forms, keyed by methodID<<32|reg. Built directly (not from
-	// the string maps) so the legacy maps stay empty unless the legacy
-	// replay runs.
+	// Summaries keyed by methodID<<32|reg; heap access indexes keyed by
+	// interned location.
 	cbwd     map[uint64]*cSummary
 	cfwd     map[uint64]*cSummary
 	cwriters map[uint32][]cHeapSite
@@ -164,8 +119,7 @@ type SummaryCache struct {
 // NewSummaryCache returns an empty cache.
 func NewSummaryCache() *SummaryCache {
 	return &SummaryCache{
-		tab: &intern.SyncTable{},
-		bwd: map[sumKey]*methodSummary{}, fwd: map[sumKey]*methodSummary{},
+		tab:  &intern.SyncTable{},
 		cbwd: map[uint64]*cSummary{}, cfwd: map[uint64]*cSummary{},
 	}
 }
@@ -183,41 +137,6 @@ func (c *SummaryCache) DrainCounters(col *obs.Collector) {
 	col.Add(obs.CtrCacheSummaryMisses, c.misses.Swap(0))
 }
 
-// backward returns the backward transfer summary for (method, reg),
-// building it with e on first use.
-func (c *SummaryCache) backward(e *Engine, method string, reg int) *methodSummary {
-	return c.lookup(c.bwd, sumKey{method, reg}, func() *methodSummary {
-		return e.buildBackward(method, reg)
-	})
-}
-
-// forward returns the forward transfer summary for (method, reg).
-func (c *SummaryCache) forward(e *Engine, method string, reg int) *methodSummary {
-	return c.lookup(c.fwd, sumKey{method, reg}, func() *methodSummary {
-		return e.buildForward(method, reg)
-	})
-}
-
-func (c *SummaryCache) lookup(m map[sumKey]*methodSummary, k sumKey, build func() *methodSummary) *methodSummary {
-	c.mu.RLock()
-	s, ok := m[k]
-	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-		return s
-	}
-	c.misses.Add(1)
-	s = build()
-	c.mu.Lock()
-	if prev, ok := m[k]; ok {
-		s = prev // concurrent build of the same key: identical, keep the first
-	} else {
-		m[k] = s
-	}
-	c.mu.Unlock()
-	return s
-}
-
 // compiledBackward returns the compiled backward summary for (method, reg),
 // building it with e on first use.
 func (c *SummaryCache) compiledBackward(e *Engine, method uint32, reg int32) *cSummary {
@@ -230,7 +149,7 @@ func (c *SummaryCache) compiledForward(e *Engine, method uint32, reg int32) *cSu
 }
 
 func (c *SummaryCache) compiledLookup(m map[uint64]*cSummary, method uint32, reg int32,
-	scan func(b sumEmitter, method string, reg int), e *Engine) *cSummary {
+	scan func(b *denseBuilder, method string, reg int), e *Engine) *cSummary {
 	k := uint64(method)<<32 | uint64(uint32(reg))
 	c.mu.RLock()
 	s, ok := m[k]
@@ -251,33 +170,6 @@ func (c *SummaryCache) compiledLookup(m map[uint64]*cSummary, method uint32, reg
 	}
 	c.mu.Unlock()
 	return s
-}
-
-// heapWriters returns the statements writing loc, building the program-wide
-// writer index on first use (legacy replay path).
-func (c *SummaryCache) heapWriters(e *Engine, loc string) []heapSite {
-	c.mu.RLock()
-	idx := c.writers
-	c.mu.RUnlock()
-	if idx == nil {
-		idx = c.buildHeapIndex(e, true)
-	} else {
-		c.hits.Add(1)
-	}
-	return idx[loc]
-}
-
-// heapReaders returns the statements reading loc (legacy replay path).
-func (c *SummaryCache) heapReaders(e *Engine, loc string) []heapSite {
-	c.mu.RLock()
-	idx := c.readers
-	c.mu.RUnlock()
-	if idx == nil {
-		idx = c.buildHeapIndex(e, false)
-	} else {
-		c.hits.Add(1)
-	}
-	return idx[loc]
 }
 
 // heapWritersDense returns the dense writer index entry for an interned
@@ -338,29 +230,6 @@ func (e *Engine) scanHeapSites(writes bool) map[string][]heapSite {
 	return idx
 }
 
-// buildHeapIndex builds and installs the string-form heap access index
-// (legacy replay path).
-func (c *SummaryCache) buildHeapIndex(e *Engine, writes bool) map[string][]heapSite {
-	c.misses.Add(1)
-	idx := e.scanHeapSites(writes)
-	c.mu.Lock()
-	if writes {
-		if c.writers != nil {
-			idx = c.writers
-		} else {
-			c.writers = idx
-		}
-	} else {
-		if c.readers != nil {
-			idx = c.readers
-		} else {
-			c.readers = idx
-		}
-	}
-	c.mu.Unlock()
-	return idx
-}
-
 // buildHeapIndexDense builds and installs the dense heap access index:
 // locations interned in sorted order (so the symbol table's contents are
 // deterministic), sites resolved to dense method/statement IDs with their
@@ -404,29 +273,6 @@ func (c *SummaryCache) buildHeapIndexDense(e *Engine, writes bool) map[uint32][]
 	return idx
 }
 
-// sumEmitter receives transfer-summary effects in emission order. The scan
-// logic in backward.go/forward.go is written against this interface; the two
-// implementations below produce the string form (legacy replay) and the
-// compiled dense form (hot path) from one shared scan.
-//
-// Gated groups are emitted as begin(gate) ... effects ... end(); an empty
-// group (no effects between begin and end) is dropped, which mirrors the
-// pre-interface builders' "only append non-empty gated entries" call sites.
-type sumEmitter interface {
-	// include adds statement idx of m to the slice, resolving modeled
-	// source/sink tags at build time so replay is instruction-free.
-	include(m *ir.Method, idx int)
-	// push emits a successor local fact (hops assigned at replay).
-	push(method string, reg int)
-	// pushHeap emits a successor heap fact.
-	pushHeap(loc string)
-	heapRead(loc string)
-	heapWrite(loc string)
-	// begin opens a universe-gated effect group; end closes it.
-	begin(gate string)
-	end()
-}
-
 // sumTags resolves the modeled source/sink tags of statement idx.
 func (e *Engine) sumTags(m *ir.Method, idx int) (source, sink string) {
 	in := &m.Instrs[idx]
@@ -438,90 +284,12 @@ func (e *Engine) sumTags(m *ir.Method, idx int) (source, sink string) {
 	return "", ""
 }
 
-// sumBuilder accumulates string-form summary entries in emission order.
-// Consecutive unconditional effects coalesce into one entry; a gated group
-// flushes the pending unconditional entry first so replay order matches
-// build order.
-type sumBuilder struct {
-	e      *Engine
-	s      methodSummary
-	cur    sumEntry // pending unconditional effects
-	gat    sumEntry // open gated group (inGate)
-	gate   string
-	inGate bool
-}
-
-func (b *sumBuilder) flush() {
-	if len(b.cur.includes) > 0 || len(b.cur.heapReads) > 0 ||
-		len(b.cur.heapWrites) > 0 || len(b.cur.pushes) > 0 {
-		b.s.entries = append(b.s.entries, b.cur)
-		b.cur = sumEntry{}
-	}
-}
-
-// entry returns the entry currently receiving effects.
-func (b *sumBuilder) entry() *sumEntry {
-	if b.inGate {
-		return &b.gat
-	}
-	return &b.cur
-}
-
-func (b *sumBuilder) include(m *ir.Method, idx int) {
-	inc := sumInclude{stmt: StmtID{m.Ref(), idx}}
-	inc.source, inc.sink = b.e.sumTags(m, idx)
-	en := b.entry()
-	en.includes = append(en.includes, inc)
-}
-
-func (b *sumBuilder) heapRead(loc string) {
-	en := b.entry()
-	en.heapReads = append(en.heapReads, loc)
-}
-
-func (b *sumBuilder) heapWrite(loc string) {
-	en := b.entry()
-	en.heapWrites = append(en.heapWrites, loc)
-}
-
-func (b *sumBuilder) push(method string, reg int) {
-	en := b.entry()
-	en.pushes = append(en.pushes, sumPush{method: method, reg: reg})
-}
-
-func (b *sumBuilder) pushHeap(loc string) {
-	en := b.entry()
-	en.pushes = append(en.pushes, sumPush{heap: true, loc: loc})
-}
-
-func (b *sumBuilder) begin(gate string) {
-	b.flush()
-	b.inGate = true
-	b.gate = gate
-	b.gat = sumEntry{}
-}
-
-func (b *sumBuilder) end() {
-	b.inGate = false
-	if len(b.gat.includes) > 0 || len(b.gat.heapReads) > 0 ||
-		len(b.gat.heapWrites) > 0 || len(b.gat.pushes) > 0 {
-		b.gat.gate = b.gate
-		b.s.entries = append(b.s.entries, b.gat)
-	}
-	b.gat = sumEntry{}
-}
-
-func (b *sumBuilder) done() *methodSummary {
-	b.flush()
-	s := b.s
-	return &s
-}
-
 // denseBuilder lowers effects straight to compiled form: statement and
 // method names resolved through the engine's program index, heap locations
 // and tags interned through the cache's symbol table. It resolves method
 // refs through a one-entry memo (consecutive effects overwhelmingly hit the
-// same method).
+// same method). Scans emit universe-gated groups as begin(gate) ... effects
+// ... end(); an empty group is dropped.
 //
 // The builder is allocation-frugal: effects accumulate in reusable buffers
 // (one active entry at a time — begin() flushes the pending unconditional
@@ -534,7 +302,6 @@ type denseBuilder struct {
 
 	entries []cEntry // finished entries of the summary under construction
 	gate    uint32   // gate of the open group; intern.None when unconditional
-	inGate  bool
 
 	// active entry accumulation buffers; capacity reused across entries
 	// and summaries.
@@ -582,7 +349,6 @@ func newDenseBuilder(e *Engine) *denseBuilder {
 	b.tab = e.Summaries.tab
 	b.entries = b.entries[:0]
 	b.gate = intern.None
-	b.inGate = false
 	b.includes = b.includes[:0]
 	b.heapReads = b.heapReads[:0]
 	b.heapWrites = b.heapWrites[:0]
@@ -667,7 +433,6 @@ func (b *denseBuilder) flush(gate uint32) {
 
 func (b *denseBuilder) begin(gate string) {
 	b.flush(intern.None)
-	b.inGate = true
 	b.gate = gateUnresolved
 	if id, ok := b.e.idx.MethodID(gate); ok {
 		b.gate = id
@@ -676,7 +441,6 @@ func (b *denseBuilder) begin(gate string) {
 
 func (b *denseBuilder) end() {
 	b.flush(b.gate)
-	b.inGate = false
 	b.gate = intern.None
 }
 
