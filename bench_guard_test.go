@@ -1,13 +1,17 @@
-// Performance regression guard. TestBenchRegressionGuard measures one
-// representative end-to-end analysis (per-phase wall time plus allocations)
-// and compares it against the committed baseline in BENCH_baseline.json.
-// Thresholds are deliberately generous — the guard exists to catch
-// order-of-magnitude regressions (an accidentally quadratic loop, a
-// per-statement allocation in a hot path), not scheduler noise.
+// Performance regression guards. Each guard measures a set of committed
+// benchmarks and compares them against a baseline file, BENCH_<name>.json,
+// at the repo root. Thresholds are deliberately generous — the guards exist
+// to catch order-of-magnitude regressions (an accidentally quadratic loop,
+// a per-statement allocation in a hot path), not scheduler noise. A few
+// absolute contracts (hotPathAllocBudgets, vmSpeedupFloor) are checked on
+// the current measurement itself, so no regeneration can launder them.
 //
-// Regenerate the baseline after an intentional performance change with:
+// Every guard shares one read/regenerate/compare step (guardBaseline).
+// Regenerate a baseline after an intentional performance change with:
 //
 //	EXTRACTOCOL_BENCH_BASELINE=write go test -run TestBenchRegressionGuard .
+//
+// (or the guard test that owns the file in question).
 package extractocol
 
 import (
@@ -38,9 +42,68 @@ type benchBaseline struct {
 	PhaseNS     map[string]int64 `json:"phase_ns"`
 }
 
-// guardApp is the corpus app the guard analyzes: the paper's running
+func (b benchBaseline) app() string { return b.App }
+
+// guardApp is the corpus app the guards analyze: the paper's running
 // example, big enough to exercise every pipeline phase.
 const guardApp = "radio reddit"
+
+// skipGuard skips the timing guards where their numbers mean nothing.
+func skipGuard(t *testing.T) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("benchmark guard")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation skews timing and allocation counts")
+	}
+}
+
+// guardBaseline is the read/regenerate/compare step every guard shares.
+// With no file at path, or under EXTRACTOCOL_BENCH_BASELINE=write, it
+// writes cur there and compares nothing; otherwise it decodes the file,
+// checks both sides measure the same app, and hands the baseline to
+// compare.
+func guardBaseline[T interface{ app() string }](t *testing.T, path string, cur T, compare func(base T)) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) || os.Getenv("EXTRACTOCOL_BENCH_BASELINE") == "write" {
+		out, merr := json.MarshalIndent(cur, "", "  ")
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		if werr := os.WriteFile(path, append(out, '\n'), 0o644); werr != nil {
+			t.Fatal(werr)
+		}
+		t.Logf("wrote %s: %s", path, out)
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base T
+	if err := json.Unmarshal(data, &base); err != nil {
+		t.Fatalf("corrupt %s: %v", path, err)
+	}
+	if base.app() != cur.app() {
+		t.Fatalf("baseline measures %q, guard measures %q; regenerate the baseline", base.app(), cur.app())
+	}
+	compare(base)
+}
+
+// checkSlack fails name when its ns/op or allocs/op outgrew the baseline
+// by more than the slack factors.
+func checkSlack(t *testing.T, path, name string, got, base sliceOpBaseline) {
+	t.Helper()
+	if got.NsPerOp > base.NsPerOp*nsSlack {
+		t.Errorf("%s takes %d ns/op, baseline %d (limit %dx): investigate or regenerate %s",
+			name, got.NsPerOp, base.NsPerOp, nsSlack, path)
+	}
+	if got.AllocsPerOp > base.AllocsPerOp*allocsSlack {
+		t.Errorf("%s makes %d allocs/op, baseline %d (limit %dx): investigate or regenerate %s",
+			name, got.AllocsPerOp, base.AllocsPerOp, allocsSlack, path)
+	}
+}
 
 func measureBaseline(t *testing.T) benchBaseline {
 	t.Helper()
@@ -73,60 +136,29 @@ func measureBaseline(t *testing.T) benchBaseline {
 	return bl
 }
 
+// TestBenchRegressionGuard measures one representative end-to-end analysis
+// (per-phase wall time plus allocations) against BENCH_baseline.json.
 func TestBenchRegressionGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark guard")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation skews timing and allocation counts")
-	}
-
+	skipGuard(t)
 	cur := measureBaseline(t)
-
-	data, err := os.ReadFile(baselinePath)
-	if os.IsNotExist(err) || os.Getenv("EXTRACTOCOL_BENCH_BASELINE") == "write" {
-		out, merr := json.MarshalIndent(cur, "", "  ")
-		if merr != nil {
-			t.Fatal(merr)
+	guardBaseline(t, baselinePath, cur, func(base benchBaseline) {
+		checkSlack(t, baselinePath, "analysis",
+			sliceOpBaseline{NsPerOp: cur.NsPerOp, AllocsPerOp: cur.AllocsPerOp},
+			sliceOpBaseline{NsPerOp: base.NsPerOp, AllocsPerOp: base.AllocsPerOp})
+		for name, ns := range base.PhaseNS {
+			// An absolute floor keeps sub-millisecond phases from flagging on
+			// clock granularity alone.
+			limit := ns*nsSlack + int64(5e6)
+			if got := cur.PhaseNS[name]; got > limit {
+				t.Errorf("phase %q takes %d ns, baseline %d (limit %d)", name, got, ns, limit)
+			}
 		}
-		if werr := os.WriteFile(baselinePath, append(out, '\n'), 0o644); werr != nil {
-			t.Fatal(werr)
+		for name := range base.PhaseNS {
+			if _, ok := cur.PhaseNS[name]; !ok {
+				t.Errorf("phase %q vanished from the profile; regenerate %s if intentional", name, baselinePath)
+			}
 		}
-		t.Logf("wrote %s: %s", baselinePath, out)
-		return
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base benchBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatalf("corrupt %s: %v", baselinePath, err)
-	}
-	if base.App != cur.App {
-		t.Fatalf("baseline measures %q, guard measures %q; regenerate the baseline", base.App, cur.App)
-	}
-
-	if cur.NsPerOp > base.NsPerOp*nsSlack {
-		t.Errorf("analysis takes %d ns/op, baseline %d (limit %dx): investigate or regenerate %s",
-			cur.NsPerOp, base.NsPerOp, nsSlack, baselinePath)
-	}
-	if cur.AllocsPerOp > base.AllocsPerOp*allocsSlack {
-		t.Errorf("analysis makes %d allocs/op, baseline %d (limit %dx): investigate or regenerate %s",
-			cur.AllocsPerOp, base.AllocsPerOp, allocsSlack, baselinePath)
-	}
-	for name, ns := range base.PhaseNS {
-		// An absolute floor keeps sub-millisecond phases from flagging on
-		// clock granularity alone.
-		limit := ns*nsSlack + int64(5e6)
-		if got := cur.PhaseNS[name]; got > limit {
-			t.Errorf("phase %q takes %d ns, baseline %d (limit %d)", name, got, ns, limit)
-		}
-	}
-	for name := range base.PhaseNS {
-		if _, ok := cur.PhaseNS[name]; !ok {
-			t.Errorf("phase %q vanished from the profile; regenerate %s if intentional", name, baselinePath)
-		}
-	}
+	})
 }
 
 // ---- Disabled-tracer zero-allocation guard ------------------------------------
@@ -151,15 +183,7 @@ func TestTracerDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
-// ---- Slicing-component guard -------------------------------------------------
-//
-// TestSliceBenchGuard pins the three slicing microbenchmarks
-// (BenchmarkSliceFind, BenchmarkTaintBackward, BenchmarkAugment) against
-// BENCH_slice.json with the same slack factors and the same
-// EXTRACTOCOL_BENCH_BASELINE=write regeneration convention as the
-// end-to-end guard above.
-
-const sliceBaselinePath = "BENCH_slice.json"
+// ---- Per-op guards -------------------------------------------------------------
 
 type sliceOpBaseline struct {
 	NsPerOp     int64 `json:"ns_per_op"`
@@ -171,90 +195,71 @@ type sliceBenchBaseline struct {
 	Ops map[string]sliceOpBaseline `json:"ops"`
 }
 
-// measureSliceOps runs the committed slicing benchmarks themselves, so the
-// guard and `go test -bench` always measure the same code path.
-func measureSliceOps(t *testing.T) sliceBenchBaseline {
-	t.Helper()
-	bl := sliceBenchBaseline{App: guardApp, Ops: map[string]sliceOpBaseline{}}
-	for name, fn := range map[string]func(*testing.B){
-		"slice_find":     BenchmarkSliceFind,
-		"taint_backward": BenchmarkTaintBackward,
-		"augment":        BenchmarkAugment,
-	} {
+func (b sliceBenchBaseline) app() string { return b.App }
+
+// opsGuard is one row of the per-op guard table: a baseline file and the
+// committed benchmarks it pins, run themselves so the guard and
+// `go test -bench` always measure the same code path.
+type opsGuard struct {
+	path string
+	app  string
+	ops  map[string]func(*testing.B)
+	// check, when set, enforces absolute contracts on the current
+	// measurement before the baseline file is read.
+	check func(t *testing.T, cur sliceBenchBaseline)
+}
+
+func (g opsGuard) run(t *testing.T) {
+	skipGuard(t)
+	cur := sliceBenchBaseline{App: g.app, Ops: map[string]sliceOpBaseline{}}
+	for name, fn := range g.ops {
 		res := testing.Benchmark(fn)
 		if res.N == 0 {
 			t.Fatalf("benchmark %q failed to run", name)
 		}
-		bl.Ops[name] = sliceOpBaseline{NsPerOp: res.NsPerOp(), AllocsPerOp: res.AllocsPerOp()}
+		cur.Ops[name] = sliceOpBaseline{NsPerOp: res.NsPerOp(), AllocsPerOp: res.AllocsPerOp()}
 	}
-	return bl
+	if g.check != nil {
+		g.check(t, cur)
+	}
+	guardBaseline(t, g.path, cur, func(base sliceBenchBaseline) {
+		for name, b := range base.Ops {
+			got, ok := cur.Ops[name]
+			if !ok {
+				t.Errorf("op %q vanished from the guard; regenerate %s if intentional", name, g.path)
+				continue
+			}
+			checkSlack(t, g.path, name, got, b)
+		}
+	})
 }
 
-func TestSliceBenchGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark guard")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation skews timing and allocation counts")
-	}
-
-	cur := measureSliceOps(t)
-
-	data, err := os.ReadFile(sliceBaselinePath)
-	if os.IsNotExist(err) || os.Getenv("EXTRACTOCOL_BENCH_BASELINE") == "write" {
-		out, merr := json.MarshalIndent(cur, "", "  ")
-		if merr != nil {
-			t.Fatal(merr)
+// sliceGuard pins the three slicing microbenchmarks, with absolute
+// allocation ceilings on the de-stringed hot paths.
+var sliceGuard = opsGuard{
+	path: "BENCH_slice.json",
+	app:  guardApp,
+	ops: map[string]func(*testing.B){
+		"slice_find":     BenchmarkSliceFind,
+		"taint_backward": BenchmarkTaintBackward,
+		"augment":        BenchmarkAugment,
+	},
+	check: func(t *testing.T, cur sliceBenchBaseline) {
+		for name, budget := range hotPathAllocBudgets {
+			got, ok := cur.Ops[name]
+			if !ok {
+				t.Errorf("budgeted op %q missing from the guard", name)
+				continue
+			}
+			if got.AllocsPerOp > budget {
+				t.Errorf("%s makes %d allocs/op, absolute budget %d: the interned hot path has re-grown string churn",
+					name, got.AllocsPerOp, budget)
+			}
 		}
-		if werr := os.WriteFile(sliceBaselinePath, append(out, '\n'), 0o644); werr != nil {
-			t.Fatal(werr)
-		}
-		t.Logf("wrote %s: %s", sliceBaselinePath, out)
-		return
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base sliceBenchBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatalf("corrupt %s: %v", sliceBaselinePath, err)
-	}
-	if base.App != cur.App {
-		t.Fatalf("baseline measures %q, guard measures %q; regenerate the baseline", base.App, cur.App)
-	}
-
-	for name, b := range base.Ops {
-		got, ok := cur.Ops[name]
-		if !ok {
-			t.Errorf("op %q vanished from the guard; regenerate %s if intentional", name, sliceBaselinePath)
-			continue
-		}
-		if got.NsPerOp > b.NsPerOp*nsSlack {
-			t.Errorf("%s takes %d ns/op, baseline %d (limit %dx): investigate or regenerate %s",
-				name, got.NsPerOp, b.NsPerOp, nsSlack, sliceBaselinePath)
-		}
-		if got.AllocsPerOp > b.AllocsPerOp*allocsSlack {
-			t.Errorf("%s makes %d allocs/op, baseline %d (limit %dx): investigate or regenerate %s",
-				name, got.AllocsPerOp, b.AllocsPerOp, allocsSlack, sliceBaselinePath)
-		}
-	}
-
-	// Absolute allocs/op ceilings on the de-stringed hot paths. Unlike the
-	// slack checks above, these never move when the baseline file is
-	// regenerated, so an allocation regression cannot be laundered through
-	// EXTRACTOCOL_BENCH_BASELINE=write.
-	for name, budget := range hotPathAllocBudgets {
-		got, ok := cur.Ops[name]
-		if !ok {
-			t.Errorf("budgeted op %q missing from the guard", name)
-			continue
-		}
-		if got.AllocsPerOp > budget {
-			t.Errorf("%s makes %d allocs/op, absolute budget %d: the interned hot path has re-grown string churn",
-				name, got.AllocsPerOp, budget)
-		}
-	}
+	},
 }
+
+func TestSliceBenchGuard(t *testing.T) { sliceGuard.run(t) }
 
 // hotPathAllocBudgets pins the interning refactor's allocation contract as
 // absolute ceilings: slice_find sits 5x under its pre-interning baseline
@@ -265,325 +270,71 @@ var hotPathAllocBudgets = map[string]int64{
 	"taint_backward": 40,
 }
 
-// ---- Pairing + warm-cache guard ------------------------------------------------
-//
-// TestPairingBenchGuard pins the two hot paths this PR optimized — the
-// indexed pairing group analysis and the fully warm cached analysis —
-// against BENCH_pairing.json, with the same slack factors and the same
-// EXTRACTOCOL_BENCH_BASELINE=write regeneration convention as the guards
-// above.
-
-const pairingBaselinePath = "BENCH_pairing.json"
-
-func measurePairingOps(t *testing.T) sliceBenchBaseline {
-	t.Helper()
-	bl := sliceBenchBaseline{App: guardApp, Ops: map[string]sliceOpBaseline{}}
-	for name, fn := range map[string]func(*testing.B){
+// pairingGuard pins the indexed pairing group analysis and the fully warm
+// cached analysis.
+var pairingGuard = opsGuard{
+	path: "BENCH_pairing.json",
+	app:  guardApp,
+	ops: map[string]func(*testing.B){
 		"pairing_analyze": BenchmarkPairingAnalyze,
 		"cache_warm_run":  BenchmarkCacheWarmRun,
-	} {
-		res := testing.Benchmark(fn)
-		if res.N == 0 {
-			t.Fatalf("benchmark %q failed to run", name)
-		}
-		bl.Ops[name] = sliceOpBaseline{NsPerOp: res.NsPerOp(), AllocsPerOp: res.AllocsPerOp()}
-	}
-	return bl
+	},
 }
 
-func TestPairingBenchGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark guard")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation skews timing and allocation counts")
-	}
+func TestPairingBenchGuard(t *testing.T) { pairingGuard.run(t) }
 
-	cur := measurePairingOps(t)
-
-	data, err := os.ReadFile(pairingBaselinePath)
-	if os.IsNotExist(err) || os.Getenv("EXTRACTOCOL_BENCH_BASELINE") == "write" {
-		out, merr := json.MarshalIndent(cur, "", "  ")
-		if merr != nil {
-			t.Fatal(merr)
-		}
-		if werr := os.WriteFile(pairingBaselinePath, append(out, '\n'), 0o644); werr != nil {
-			t.Fatal(werr)
-		}
-		t.Logf("wrote %s: %s", pairingBaselinePath, out)
-		return
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base sliceBenchBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatalf("corrupt %s: %v", pairingBaselinePath, err)
-	}
-	if base.App != cur.App {
-		t.Fatalf("baseline measures %q, guard measures %q; regenerate the baseline", base.App, cur.App)
-	}
-
-	for name, b := range base.Ops {
-		got, ok := cur.Ops[name]
-		if !ok {
-			t.Errorf("op %q vanished from the guard; regenerate %s if intentional", name, pairingBaselinePath)
-			continue
-		}
-		if got.NsPerOp > b.NsPerOp*nsSlack {
-			t.Errorf("%s takes %d ns/op, baseline %d (limit %dx): investigate or regenerate %s",
-				name, got.NsPerOp, b.NsPerOp, nsSlack, pairingBaselinePath)
-		}
-		if got.AllocsPerOp > b.AllocsPerOp*allocsSlack {
-			t.Errorf("%s makes %d allocs/op, baseline %d (limit %dx): investigate or regenerate %s",
-				name, got.AllocsPerOp, b.AllocsPerOp, allocsSlack, pairingBaselinePath)
-		}
-	}
-}
-
-// ---- Generated-corpus guard ----------------------------------------------------
-//
-// TestGenBenchGuard pins generation and end-to-end analysis of the fixed
-// 100-app seeded corpus (BenchmarkGenCorpusRand, BenchmarkGenCorpusAnalyze)
-// against BENCH_gen.json, with the same slack factors and the same
-// EXTRACTOCOL_BENCH_BASELINE=write regeneration convention as the guards
-// above. It keeps the differential harness affordable: a quadratic slip in
-// generation or analysis multiplies across every equivalence axis.
-
-const genBaselinePath = "BENCH_gen.json"
-
-func measureGenOps(t *testing.T) sliceBenchBaseline {
-	t.Helper()
-	bl := sliceBenchBaseline{App: "gen-1729-100", Ops: map[string]sliceOpBaseline{}}
-	for name, fn := range map[string]func(*testing.B){
+// genGuard pins generation and end-to-end analysis of the fixed 100-app
+// seeded corpus. It keeps the differential harness affordable: a quadratic
+// slip in generation or analysis multiplies across every equivalence axis.
+var genGuard = opsGuard{
+	path: "BENCH_gen.json",
+	app:  "gen-1729-100",
+	ops: map[string]func(*testing.B){
 		"gen_corpus_rand":    BenchmarkGenCorpusRand,
 		"gen_corpus_analyze": BenchmarkGenCorpusAnalyze,
-	} {
-		res := testing.Benchmark(fn)
-		if res.N == 0 {
-			t.Fatalf("benchmark %q failed to run", name)
-		}
-		bl.Ops[name] = sliceOpBaseline{NsPerOp: res.NsPerOp(), AllocsPerOp: res.AllocsPerOp()}
-	}
-	return bl
+	},
 }
 
-func TestGenBenchGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark guard")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation skews timing and allocation counts")
-	}
+func TestGenBenchGuard(t *testing.T) { genGuard.run(t) }
 
-	cur := measureGenOps(t)
-
-	data, err := os.ReadFile(genBaselinePath)
-	if os.IsNotExist(err) || os.Getenv("EXTRACTOCOL_BENCH_BASELINE") == "write" {
-		out, merr := json.MarshalIndent(cur, "", "  ")
-		if merr != nil {
-			t.Fatal(merr)
-		}
-		if werr := os.WriteFile(genBaselinePath, append(out, '\n'), 0o644); werr != nil {
-			t.Fatal(werr)
-		}
-		t.Logf("wrote %s: %s", genBaselinePath, out)
-		return
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base sliceBenchBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatalf("corrupt %s: %v", genBaselinePath, err)
-	}
-	if base.App != cur.App {
-		t.Fatalf("baseline measures %q, guard measures %q; regenerate the baseline", base.App, cur.App)
-	}
-
-	for name, b := range base.Ops {
-		got, ok := cur.Ops[name]
-		if !ok {
-			t.Errorf("op %q vanished from the guard; regenerate %s if intentional", name, genBaselinePath)
-			continue
-		}
-		if got.NsPerOp > b.NsPerOp*nsSlack {
-			t.Errorf("%s takes %d ns/op, baseline %d (limit %dx): investigate or regenerate %s",
-				name, got.NsPerOp, b.NsPerOp, nsSlack, genBaselinePath)
-		}
-		if got.AllocsPerOp > b.AllocsPerOp*allocsSlack {
-			t.Errorf("%s makes %d allocs/op, baseline %d (limit %dx): investigate or regenerate %s",
-				name, got.AllocsPerOp, b.AllocsPerOp, allocsSlack, genBaselinePath)
-		}
-	}
-}
-
-// ---- Interned-symbol guard -----------------------------------------------------
-//
-// TestInternBenchGuard pins the interning layer's own costs — the one-time
-// dense-index build and the bitset algebra the hot loops run on
-// (BenchmarkInternIndex, BenchmarkInternBitsUnion) — against
-// BENCH_intern.json, with the same slack factors and the same
-// EXTRACTOCOL_BENCH_BASELINE=write regeneration convention as the guards
-// above. The layer buys its speedup with a fixed per-program cost; this
-// guard keeps that cost fixed.
-
-const internBaselinePath = "BENCH_intern.json"
-
-func measureInternOps(t *testing.T) sliceBenchBaseline {
-	t.Helper()
-	bl := sliceBenchBaseline{App: guardApp, Ops: map[string]sliceOpBaseline{}}
-	for name, fn := range map[string]func(*testing.B){
+// internGuard pins the interning layer's own costs — the one-time
+// dense-index build and the bitset algebra the hot loops run on. The layer
+// buys its speedup with a fixed per-program cost; this guard keeps that
+// cost fixed.
+var internGuard = opsGuard{
+	path: "BENCH_intern.json",
+	app:  guardApp,
+	ops: map[string]func(*testing.B){
 		"intern_index":      BenchmarkInternIndex,
 		"intern_bits_union": BenchmarkInternBitsUnion,
-	} {
-		res := testing.Benchmark(fn)
-		if res.N == 0 {
-			t.Fatalf("benchmark %q failed to run", name)
-		}
-		bl.Ops[name] = sliceOpBaseline{NsPerOp: res.NsPerOp(), AllocsPerOp: res.AllocsPerOp()}
-	}
-	return bl
+	},
 }
 
-func TestInternBenchGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark guard")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation skews timing and allocation counts")
-	}
-
-	cur := measureInternOps(t)
-
-	data, err := os.ReadFile(internBaselinePath)
-	if os.IsNotExist(err) || os.Getenv("EXTRACTOCOL_BENCH_BASELINE") == "write" {
-		out, merr := json.MarshalIndent(cur, "", "  ")
-		if merr != nil {
-			t.Fatal(merr)
-		}
-		if werr := os.WriteFile(internBaselinePath, append(out, '\n'), 0o644); werr != nil {
-			t.Fatal(werr)
-		}
-		t.Logf("wrote %s: %s", internBaselinePath, out)
-		return
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base sliceBenchBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatalf("corrupt %s: %v", internBaselinePath, err)
-	}
-	if base.App != cur.App {
-		t.Fatalf("baseline measures %q, guard measures %q; regenerate the baseline", base.App, cur.App)
-	}
-
-	for name, b := range base.Ops {
-		got, ok := cur.Ops[name]
-		if !ok {
-			t.Errorf("op %q vanished from the guard; regenerate %s if intentional", name, internBaselinePath)
-			continue
-		}
-		if got.NsPerOp > b.NsPerOp*nsSlack {
-			t.Errorf("%s takes %d ns/op, baseline %d (limit %dx): investigate or regenerate %s",
-				name, got.NsPerOp, b.NsPerOp, nsSlack, internBaselinePath)
-		}
-		if got.AllocsPerOp > b.AllocsPerOp*allocsSlack {
-			t.Errorf("%s makes %d allocs/op, baseline %d (limit %dx): investigate or regenerate %s",
-				name, got.AllocsPerOp, b.AllocsPerOp, allocsSlack, internBaselinePath)
-		}
-	}
-}
-
-// ---- Classifier-throughput guard -----------------------------------------------
-//
-// TestClassifyBenchGuard pins the signature-matcher backends
-// (BenchmarkClassifyThroughput's vm, vm_parallel and interp variants)
-// against BENCH_classify.json with the usual slack factors and
-// EXTRACTOCOL_BENCH_BASELINE=write regeneration convention — plus one
-// absolute floor that never moves with the baseline: the compiled VM must
-// classify at least 5x faster than the interpretive oracle, the speedup
-// the bytecode compiler exists to deliver.
-
-const classifyBaselinePath = "BENCH_classify.json"
+func TestInternBenchGuard(t *testing.T) { internGuard.run(t) }
 
 // vmSpeedupFloor is the minimum classify_interp/classify_vm ns ratio.
 const vmSpeedupFloor = 5
 
-func measureClassifyOps(t *testing.T) sliceBenchBaseline {
-	t.Helper()
-	bl := sliceBenchBaseline{App: guardApp, Ops: map[string]sliceOpBaseline{}}
-	for name, opt := range map[string]trace.ClassifyOptions{
-		"classify_vm":          {VM: true},
-		"classify_vm_parallel": {VM: true, Workers: -1},
-		"classify_interp":      {},
-	} {
-		opt := opt
-		res := testing.Benchmark(func(b *testing.B) { benchClassify(b, opt) })
-		if res.N == 0 {
-			t.Fatalf("benchmark %q failed to run", name)
+// classifyGuard pins the signature-matcher backends, plus one absolute
+// floor that never moves with the baseline: the compiled VM must classify
+// at least vmSpeedupFloor times faster than the interpretive oracle, the
+// speedup the bytecode compiler exists to deliver.
+var classifyGuard = opsGuard{
+	path: "BENCH_classify.json",
+	app:  guardApp,
+	ops: map[string]func(*testing.B){
+		"classify_vm":          func(b *testing.B) { benchClassify(b, trace.ClassifyOptions{VM: true}) },
+		"classify_vm_parallel": func(b *testing.B) { benchClassify(b, trace.ClassifyOptions{VM: true, Workers: -1}) },
+		"classify_interp":      func(b *testing.B) { benchClassify(b, trace.ClassifyOptions{}) },
+	},
+	check: func(t *testing.T, cur sliceBenchBaseline) {
+		vm := cur.Ops["classify_vm"].NsPerOp
+		interp := cur.Ops["classify_interp"].NsPerOp
+		if vm*vmSpeedupFloor > interp {
+			t.Errorf("compiled VM classifies at %d ns/op vs interpretive %d ns/op (%.1fx): floor is %dx",
+				vm, interp, float64(interp)/float64(vm), vmSpeedupFloor)
 		}
-		bl.Ops[name] = sliceOpBaseline{NsPerOp: res.NsPerOp(), AllocsPerOp: res.AllocsPerOp()}
-	}
-	return bl
+	},
 }
 
-func TestClassifyBenchGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark guard")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation skews timing and allocation counts")
-	}
-
-	cur := measureClassifyOps(t)
-
-	// The speedup floor holds on the current measurement regardless of the
-	// committed baseline, so it cannot be laundered through a regeneration.
-	vm := cur.Ops["classify_vm"].NsPerOp
-	interp := cur.Ops["classify_interp"].NsPerOp
-	if vm*vmSpeedupFloor > interp {
-		t.Errorf("compiled VM classifies at %d ns/op vs interpretive %d ns/op (%.1fx): floor is %dx",
-			vm, interp, float64(interp)/float64(vm), vmSpeedupFloor)
-	}
-
-	data, err := os.ReadFile(classifyBaselinePath)
-	if os.IsNotExist(err) || os.Getenv("EXTRACTOCOL_BENCH_BASELINE") == "write" {
-		out, merr := json.MarshalIndent(cur, "", "  ")
-		if merr != nil {
-			t.Fatal(merr)
-		}
-		if werr := os.WriteFile(classifyBaselinePath, append(out, '\n'), 0o644); werr != nil {
-			t.Fatal(werr)
-		}
-		t.Logf("wrote %s: %s", classifyBaselinePath, out)
-		return
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base sliceBenchBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatalf("corrupt %s: %v", classifyBaselinePath, err)
-	}
-	if base.App != cur.App {
-		t.Fatalf("baseline measures %q, guard measures %q; regenerate the baseline", base.App, cur.App)
-	}
-
-	for name, b := range base.Ops {
-		got, ok := cur.Ops[name]
-		if !ok {
-			t.Errorf("op %q vanished from the guard; regenerate %s if intentional", name, classifyBaselinePath)
-			continue
-		}
-		if got.NsPerOp > b.NsPerOp*nsSlack {
-			t.Errorf("%s takes %d ns/op, baseline %d (limit %dx): investigate or regenerate %s",
-				name, got.NsPerOp, b.NsPerOp, nsSlack, classifyBaselinePath)
-		}
-		if got.AllocsPerOp > b.AllocsPerOp*allocsSlack {
-			t.Errorf("%s makes %d allocs/op, baseline %d (limit %dx): investigate or regenerate %s",
-				name, got.AllocsPerOp, b.AllocsPerOp, allocsSlack, classifyBaselinePath)
-		}
-	}
-}
+func TestClassifyBenchGuard(t *testing.T) { classifyGuard.run(t) }

@@ -70,6 +70,14 @@ diff "$smoke/cold.txt" "$smoke/warm.txt"
 go run -race ./cmd/extractocol -cache "$smoke/cache" -profile "$apkb" \
     | grep -q '"cache_report_hits": 1'
 
+echo "== trace smoke under -race"
+# One recording path for spans: with tracing and the flight recorder armed,
+# the radio reddit run exports exactly one run span and one span per
+# pipeline phase.
+go run -race ./cmd/extractocol -trace "$smoke/t.json" -flight "$apkb" > /dev/null
+test "$(grep -c '"cat": "run"' "$smoke/t.json")" = 1
+test "$(grep -c '"cat": "phase"' "$smoke/t.json")" = 7
+
 echo "== differential harness under -race"
 # Correctness gate over the seeded generative corpus: 100 generated apps,
 # all five equivalence axes (same-seed regeneration, serial/parallel,

@@ -100,57 +100,13 @@ type config struct {
 	eventsFile string
 }
 
-// telemetry is the live ops plane behind -ops/-events: a registry for
-// exposition, the HTTP listener, and the structured event log. The zero
-// value (no flags) is fully off and costs nothing on the matching path.
-type telemetry struct {
-	reg *obs.Registry
-	srv *ops.Server
-	ev  *obs.EventLog
-}
-
-// openTelemetry starts whatever the -ops/-events flags ask for. The bound
-// ops address is announced on stderr (stdout carries the report) so
-// scripts can discover a :0 listener.
-func openTelemetry(opsAddr, eventsFile string) (*telemetry, error) {
-	t := &telemetry{}
-	if opsAddr != "" {
-		t.reg = obs.NewRegistry()
-		srv, err := ops.Serve(opsAddr, t.reg)
-		if err != nil {
-			return nil, fmt.Errorf("ops: %w", err)
-		}
-		t.srv = srv
-		fmt.Fprintf(os.Stderr, "ops: serving on %s\n", srv.URL())
-	}
-	if eventsFile != "" {
-		f, err := os.Create(eventsFile)
-		if err != nil {
-			t.srv.Close()
-			return nil, fmt.Errorf("events: %w", err)
-		}
-		t.ev = obs.NewEventLog(f)
-	}
-	return t, nil
-}
-
-// close shuts the listener down and flushes the event log; the first
-// error wins.
-func (t *telemetry) close() error {
-	err := t.srv.Close()
-	if e := t.ev.Close(); err == nil {
-		err = e
-	}
-	return err
-}
-
 func run(cfg config) (err error) {
-	tel, err := openTelemetry(cfg.opsAddr, cfg.eventsFile)
+	tel, err := ops.Open(cfg.opsAddr, cfg.eventsFile, os.Stderr)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if e := tel.close(); err == nil {
+		if e := tel.Close(); err == nil {
 			err = e
 		}
 	}()
@@ -181,11 +137,11 @@ func run(cfg config) (err error) {
 	// (obs.HistClassifyEntry); it feeds both -profile and a live -ops
 	// scrape, and is nil — zero clock reads — when neither is on.
 	var col *obs.Collector
-	if cfg.profile || tel.reg != nil {
+	if cfg.profile || tel.Reg != nil {
 		col = obs.NewCollector()
-		col.SetEvents(tel.ev, rep.Package)
-		tel.reg.Attach(col)
-		defer tel.reg.Detach(col)
+		col.SetEvents(tel.Events, rep.Package)
+		tel.Reg.Attach(col)
+		defer tel.Reg.Detach(col)
 	}
 
 	bundle := sigvm.Compile(rep)
@@ -254,7 +210,7 @@ func printProfile(rep *core.Report, col *obs.Collector) error {
 // loadReport resolves the analysis target: a corpus app by name, or an
 // .apkb container by path. The signature-derivation analysis carries the
 // run's telemetry hooks, so its phases land on a live -ops endpoint too.
-func loadReport(cfg config, tel *telemetry) (*core.Report, *corpus.App, error) {
+func loadReport(cfg config, tel *ops.Telemetry) (*core.Report, *corpus.App, error) {
 	switch {
 	case cfg.appName != "" && cfg.apkbPath != "":
 		return nil, nil, fmt.Errorf("give either -app or an .apkb path, not both")
@@ -267,8 +223,8 @@ func loadReport(cfg config, tel *telemetry) (*core.Report, *corpus.App, error) {
 		if app.Spec.OpenSource {
 			opts.MaxAsyncHops = 0
 		}
-		opts.Obs = tel.reg
-		opts.Events = tel.ev
+		opts.Obs = tel.Reg
+		opts.Events = tel.Events
 		rep, err := core.Analyze(app.Prog, opts)
 		return rep, app, err
 	case cfg.apkbPath != "":
@@ -281,8 +237,8 @@ func loadReport(cfg config, tel *telemetry) (*core.Report, *corpus.App, error) {
 			return nil, nil, err
 		}
 		opts := core.NewOptions()
-		opts.Obs = tel.reg
-		opts.Events = tel.ev
+		opts.Obs = tel.Reg
+		opts.Events = tel.Events
 		rep, err := core.Analyze(prog, opts)
 		return rep, nil, err
 	default:

@@ -9,7 +9,8 @@
 //	evaluate                     run everything
 //	evaluate -only table1        one artifact (table1, table2, table3,
 //	                             table4, table5, table6, figure6, figure7,
-//	                             validity, obfuscation, ablation, timing)
+//	                             validity, obfuscation, ablation, timing,
+//	                             slicefraction); any other name is an error
 //	evaluate -profile            emit per-app and corpus-wide per-phase
 //	                             observability breakdowns as JSON, plus
 //	                             the parallel fan-out speedup and, when a
@@ -57,6 +58,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -99,57 +101,22 @@ type config struct {
 	flight     bool
 }
 
-// telemetry is the live ops plane behind -ops/-events: a registry for
-// exposition, the HTTP listener, and the structured event log. The zero
-// value (no flags) is fully off and costs nothing on the analysis path.
-type telemetry struct {
-	reg *obs.Registry
-	srv *ops.Server
-	ev  *obs.EventLog
-}
-
-// openTelemetry starts whatever the -ops/-events flags ask for. The bound
-// ops address is announced on stderr (stdout carries the artifacts) so
-// scripts can discover a :0 listener.
-func openTelemetry(opsAddr, eventsFile string) (*telemetry, error) {
-	t := &telemetry{}
-	if opsAddr != "" {
-		t.reg = obs.NewRegistry()
-		srv, err := ops.Serve(opsAddr, t.reg)
-		if err != nil {
-			return nil, fmt.Errorf("ops: %w", err)
-		}
-		t.srv = srv
-		fmt.Fprintf(os.Stderr, "ops: serving on %s\n", srv.URL())
-	}
-	if eventsFile != "" {
-		f, err := os.Create(eventsFile)
-		if err != nil {
-			t.srv.Close()
-			return nil, fmt.Errorf("events: %w", err)
-		}
-		t.ev = obs.NewEventLog(f)
-	}
-	return t, nil
-}
-
-// close shuts the listener down and flushes the event log; the first
-// error wins.
-func (t *telemetry) close() error {
-	err := t.srv.Close()
-	if e := t.ev.Close(); err == nil {
-		err = e
-	}
-	return err
+// artifacts lists every -only name, in the order a full run prints them.
+var artifacts = []string{
+	"table1", "figure6", "figure7", "table2", "validity", "table3", "table4",
+	"table5", "table6", "obfuscation", "ablation", "timing", "slicefraction",
 }
 
 func run(cfg config) (err error) {
-	tel, err := openTelemetry(cfg.opsAddr, cfg.eventsFile)
+	if cfg.only != "" && !slices.Contains(artifacts, cfg.only) {
+		return fmt.Errorf("unknown -only artifact %q; valid: %s", cfg.only, strings.Join(artifacts, ", "))
+	}
+	tel, err := ops.Open(cfg.opsAddr, cfg.eventsFile, os.Stderr)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if e := tel.close(); err == nil {
+		if e := tel.Close(); err == nil {
 			err = e
 		}
 	}()
@@ -161,7 +128,7 @@ func run(cfg config) (err error) {
 
 // runDifferential parses "seed:N" and runs the differential-testing
 // harness; any cross-axis mismatch is an error (nonzero exit).
-func runDifferential(cfg config, tel *telemetry) error {
+func runDifferential(cfg config, tel *ops.Telemetry) error {
 	seedStr, nStr, ok := strings.Cut(cfg.gen, ":")
 	if !ok {
 		return fmt.Errorf("-gen wants seed:N, got %q", cfg.gen)
@@ -176,7 +143,7 @@ func runDifferential(cfg config, tel *telemetry) error {
 	}
 	res, err := evaluate.RunDifferential(evaluate.DiffConfig{
 		Seed: seed, N: n, BudgetDeadline: cfg.deadline,
-		Obs: tel.reg, Events: tel.ev,
+		Obs: tel.Reg, Events: tel.Events,
 	})
 	if err != nil {
 		return err
@@ -188,7 +155,7 @@ func runDifferential(cfg config, tel *telemetry) error {
 	return nil
 }
 
-func runArtifacts(cfg config, tel *telemetry) error {
+func runArtifacts(cfg config, tel *ops.Telemetry) error {
 	only := cfg.only
 	want := func(name string) bool { return only == "" || only == name }
 
@@ -199,7 +166,7 @@ func runArtifacts(cfg config, tel *telemetry) error {
 	if needCorpus || cfg.profile || cfg.traceFile != "" {
 		rcfg := evaluate.RunConfig{
 			Deadline: cfg.deadline, Trace: cfg.traceFile != "", CacheDir: cfg.cacheDir,
-			Obs: tel.reg, Events: tel.ev, Flight: cfg.flight,
+			Obs: tel.Reg, Events: tel.Events, Flight: cfg.flight,
 		}
 		if cfg.serial {
 			rcfg.Workers = 1
@@ -294,7 +261,7 @@ func runArtifacts(cfg config, tel *telemetry) error {
 	if want("timing") {
 		fmt.Println(evaluate.Timing(results))
 	}
-	if want("slicefraction") || only == "" {
+	if want("slicefraction") {
 		frac, err := evaluate.DiodeSliceFraction()
 		if err != nil {
 			return err

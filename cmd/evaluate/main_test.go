@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestRunSingleArtifacts(t *testing.T) {
 	// The cheap artifacts that do not require the full corpus sweep.
@@ -28,5 +31,22 @@ func TestRunProfile(t *testing.T) {
 	// observability rendering must succeed end to end.
 	if err := run(config{only: "timing", profile: true}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// An unknown -only name is an error that lists every valid artifact,
+// instead of a silent run that prints nothing.
+func TestRunUnknownArtifact(t *testing.T) {
+	err := run(config{only: "bogus"})
+	if err == nil {
+		t.Fatal("-only bogus succeeded")
+	}
+	for _, name := range append(artifacts, `"bogus"`) {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not name %s", err, name)
+		}
+	}
+	if !strings.Contains(err.Error(), "slicefraction") {
+		t.Errorf("error %q omits slicefraction", err)
 	}
 }

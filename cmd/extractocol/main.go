@@ -112,50 +112,6 @@ type config struct {
 	flight     bool
 }
 
-// telemetry is the live ops plane behind -ops/-events: a registry for
-// exposition, the HTTP listener, and the structured event log. The zero
-// value (no flags) is fully off and costs nothing on the analysis path.
-type telemetry struct {
-	reg *obs.Registry
-	srv *ops.Server
-	ev  *obs.EventLog
-}
-
-// openTelemetry starts whatever the -ops/-events flags ask for. The bound
-// ops address is announced on stderr (stdout carries the report) so
-// scripts can discover a :0 listener.
-func openTelemetry(opsAddr, eventsFile string) (*telemetry, error) {
-	t := &telemetry{}
-	if opsAddr != "" {
-		t.reg = obs.NewRegistry()
-		srv, err := ops.Serve(opsAddr, t.reg)
-		if err != nil {
-			return nil, fmt.Errorf("ops: %w", err)
-		}
-		t.srv = srv
-		fmt.Fprintf(os.Stderr, "ops: serving on %s\n", srv.URL())
-	}
-	if eventsFile != "" {
-		f, err := os.Create(eventsFile)
-		if err != nil {
-			t.srv.Close()
-			return nil, fmt.Errorf("events: %w", err)
-		}
-		t.ev = obs.NewEventLog(f)
-	}
-	return t, nil
-}
-
-// close shuts the listener down and flushes the event log; the first
-// error wins.
-func (t *telemetry) close() error {
-	err := t.srv.Close()
-	if e := t.ev.Close(); err == nil {
-		err = e
-	}
-	return err
-}
-
 func run(cfg config) (err error) {
 	data, err := os.ReadFile(cfg.path)
 	if err != nil {
@@ -165,12 +121,12 @@ func run(cfg config) (err error) {
 	if err != nil {
 		return err
 	}
-	tel, err := openTelemetry(cfg.opsAddr, cfg.eventsFile)
+	tel, err := ops.Open(cfg.opsAddr, cfg.eventsFile, os.Stderr)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if e := tel.close(); err == nil {
+		if e := tel.Close(); err == nil {
 			err = e
 		}
 	}()
@@ -181,8 +137,8 @@ func run(cfg config) (err error) {
 	opts.MaxSliceSteps = cfg.sliceSteps
 	opts.MaxFixpointIters = cfg.fixIters
 	opts.Explain = cfg.explain
-	opts.Obs = tel.reg
-	opts.Events = tel.ev
+	opts.Obs = tel.Reg
+	opts.Events = tel.Events
 	opts.Flight = cfg.flight
 	if cfg.traceFile != "" {
 		opts.Tracer = obs.NewTracer()

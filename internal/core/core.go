@@ -9,10 +9,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"extractocol/internal/budget"
@@ -327,14 +325,9 @@ func Analyze(p *ir.Program, opts Options) (rep *Report, err error) {
 	// recover, after all observations).
 	opts.Obs.Attach(col)
 	defer opts.Obs.Detach(col)
-	col.Event(obs.Event{Type: obs.EvRunStart})
-	defer func() {
-		col.Event(obs.Event{Type: obs.EvRunEnd, DurNS: time.Since(start).Nanoseconds()})
-	}()
-	// The run span brackets the whole pipeline on the coordinator track;
-	// nil-safe and free when tracing is off.
-	endRun := opts.Tracer.Span(obs.CatRun, p.Manifest.Package)
-	defer endRun()
+	// The run span brackets the whole pipeline on the coordinator track and
+	// emits the run_start/run_end events.
+	defer col.Span(obs.CatRun, p.Manifest.Package).End()
 	model := opts.Model
 	if model == nil {
 		model = semmodel.Default()
@@ -566,34 +559,24 @@ type built struct {
 }
 
 // buildSignatures runs signature extraction for every transaction.
-// Extraction is independent per transaction: fan out across a bounded
-// worker pool, assembling results in transaction order so output stays
-// deterministic. Each worker owns a private counter shard (merged after
-// the pool drains) and accumulates its busy time, from which the pool
-// utilization gauge is derived.
+// Extraction is independent per transaction: fan out across the worker
+// pool, assembling results in transaction order so output stays
+// deterministic.
 func buildSignatures(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
 	txs []*slice.Transaction, opts Options, col *obs.Collector, bud *budget.Budget) []built {
 
 	endSigbuild := col.Phase(obs.PhaseSigbuild)
 	defer endSigbuild()
-	fanStart := time.Now()
 
 	results := make([]built, len(txs))
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(txs) {
-		workers = len(txs)
-	}
-	if bud.HasStepLimits() && workers > 1 {
-		workers = 1
-	}
-	scoped := func(tx *slice.Transaction) bool {
-		return opts.ScopePrefix != "" && !strings.HasPrefix(tx.DP.Method, opts.ScopePrefix)
-	}
-	runJob := func(i int, stats *obs.Shard) {
-		site := fmt.Sprintf("%s@%d", txs[i].DP.Method, txs[i].DP.Index)
+	col.Fan(obs.CatSigbuildJob, len(txs), opts.Workers, bud.HasStepLimits(), func(i int, stats *obs.Shard) {
+		tx := txs[i]
+		if opts.ScopePrefix != "" && !strings.HasPrefix(tx.DP.Method, opts.ScopePrefix) {
+			results[i] = built{err: errScoped}
+			stats.Add(obs.CtrSigbuildScoped, 1)
+			return
+		}
+		site := fmt.Sprintf("%s@%d", tx.DP.Method, tx.DP.Index)
 		defer func() {
 			if r := recover(); r != nil {
 				// A panicking interpretation costs one transaction, not
@@ -612,67 +595,12 @@ func buildSignatures(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph,
 		}
 		sp := stats.Span(obs.CatSigbuildJob, site)
 		defer sp.End()
-		t0 := time.Now()
-		r, rs, info, err := sigbuild.BuildTraced(p, model, cg, txs[i], stats, bud)
-		ns := time.Since(t0).Nanoseconds()
+		r, rs, info, err := sigbuild.BuildTraced(p, model, cg, tx, stats, bud)
 		results[i] = built{req: r, resp: rs, info: info, err: err}
-		stats.Add(obs.CtrSigbuildJobs, 1)
-		stats.Add(obs.CtrSigbuildBusyNS, ns)
-		stats.Observe(obs.HistSigbuildJob, ns)
 		if err != nil {
 			stats.Add(obs.CtrSigbuildErrors, 1)
 		}
-	}
-
-	mainStats := col.NewShard()
-	if workers > 1 {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		shards := make([]*obs.Shard, workers)
-		for w := 0; w < workers; w++ {
-			shard := col.NewShard()
-			shards[w] = shard
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					runJob(i, shard)
-				}
-			}()
-		}
-		for i, tx := range txs {
-			if scoped(tx) {
-				results[i] = built{err: errScoped}
-				mainStats.Add(obs.CtrSigbuildScoped, 1)
-				continue
-			}
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-		for _, shard := range shards {
-			col.Drain(shard)
-		}
-	} else {
-		for i, tx := range txs {
-			if scoped(tx) {
-				results[i] = built{err: errScoped}
-				mainStats.Add(obs.CtrSigbuildScoped, 1)
-				continue
-			}
-			runJob(i, mainStats)
-		}
-	}
-	col.Drain(mainStats)
-
-	if workers > 0 {
-		col.Gauge(obs.GaugeSigbuildWorkers, float64(workers))
-		totalBusy := col.Snapshot().Counter(obs.CtrSigbuildBusyNS)
-		if wall := time.Since(fanStart).Nanoseconds(); wall > 0 {
-			col.Gauge(obs.GaugeSigbuildUtilization,
-				float64(totalBusy)/float64(int64(workers)*wall))
-		}
-	}
+	})
 	return results
 }
 

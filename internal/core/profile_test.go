@@ -81,6 +81,30 @@ func TestAnalyzeProfileInvariants(t *testing.T) {
 	if u := prof.Gauges[obs.GaugeSigbuildUtilization]; u < 0 || u > 1.05 {
 		t.Errorf("%s = %v, want within [0, 1]", obs.GaugeSigbuildUtilization, u)
 	}
+
+	// A fault-free run records every duration through exactly one span end:
+	// each job histogram holds one observation per counted job, each phase
+	// histogram one observation, and the slice pool's busy time fits in
+	// its wall time.
+	if len(rep.Diagnostics) != 0 {
+		t.Fatalf("fault-free run reported diagnostics: %+v", rep.Diagnostics)
+	}
+	for hist, ctr := range map[string]string{
+		obs.HistSliceJob:    obs.CtrSliceJobs,
+		obs.HistSigbuildJob: obs.CtrSigbuildJobs,
+	} {
+		if h := prof.Hist(hist); h == nil || h.Count != prof.Counter(ctr) {
+			t.Errorf("%s histogram = %+v, want count %s = %d", hist, h, ctr, prof.Counter(ctr))
+		}
+	}
+	for _, ph := range prof.Phases {
+		if h := prof.Hist(obs.HistPhasePrefix + ph.Name); h == nil || h.Count != 1 {
+			t.Errorf("phase %q histogram = %+v, want count 1", ph.Name, h)
+		}
+	}
+	if u, ok := prof.Gauges[obs.GaugeSliceUtilization]; !ok || u < 0 || u > 1 {
+		t.Errorf("%s = %v (set %v), want within [0, 1]", obs.GaugeSliceUtilization, u, ok)
+	}
 }
 
 // TestAnalyzeProfileScopedCounters checks the scope filter is visible in the

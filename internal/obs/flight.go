@@ -8,50 +8,37 @@
 // or after the pool has quiesced.
 package obs
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // flightDepth is the ring capacity: the newest flightDepth span records
 // survive. 64 covers a panicking job's recent history (job span + nested
 // taint fixpoints) without measurable memory cost per worker.
 const flightDepth = 64
 
-// flightRec is one recorded span: end stays 0 until the span ends, so a
-// dump distinguishes in-flight work (the usual suspect) from completed
-// work.
-type flightRec struct {
-	cat, name  string
-	start, end int64 // ns since the shard ring was created
-}
-
 // flightRing is the fixed-capacity record buffer. seq counts pushes ever;
-// the live window is [seq-flightDepth, seq).
+// the live window is [seq-flightDepth, seq). Records are spans on the
+// owning shard's clock whose Dur stays -1 until they end, so a dump
+// distinguishes in-flight work (the usual suspect) from completed work.
 type flightRing struct {
-	clock func() int64
-	seq   uint64
-	recs  [flightDepth]flightRec
-}
-
-func newFlightRing(clock func() int64) *flightRing {
-	return &flightRing{clock: clock}
+	seq  uint64
+	recs [flightDepth]Span
 }
 
 // push records a span start and returns its 1-based token for end.
-func (r *flightRing) push(cat, name string) uint64 {
-	r.recs[r.seq%flightDepth] = flightRec{cat: cat, name: name, start: r.clock()}
+func (r *flightRing) push(cat, name string, start int64) uint64 {
+	r.recs[r.seq%flightDepth] = Span{Cat: cat, Name: name, Start: start, Dur: -1}
 	r.seq++
 	return r.seq
 }
 
 // end closes the span with the given token, unless the ring has already
 // wrapped past its slot.
-func (r *flightRing) end(tok uint64) {
+func (r *flightRing) end(tok uint64, end int64) {
 	if tok == 0 || r.seq >= tok+flightDepth {
 		return
 	}
-	r.recs[(tok-1)%flightDepth].end = r.clock()
+	rec := &r.recs[(tok-1)%flightDepth]
+	rec.Dur = end - rec.Start
 }
 
 // dump renders the live window oldest-first, one line per record. Spans
@@ -67,10 +54,10 @@ func (r *flightRing) dump() []string {
 	out := make([]string, 0, r.seq-first)
 	for i := first; i < r.seq; i++ {
 		rec := r.recs[i%flightDepth]
-		if rec.end >= rec.start && rec.end > 0 {
-			out = append(out, fmt.Sprintf("%s %s %dns+%dns", rec.cat, rec.name, rec.start, rec.end-rec.start))
+		if rec.Dur >= 0 {
+			out = append(out, fmt.Sprintf("%s %s %dns+%dns", rec.Cat, rec.Name, rec.Start, rec.Dur))
 		} else {
-			out = append(out, fmt.Sprintf("%s %s %dns+…", rec.cat, rec.name, rec.start))
+			out = append(out, fmt.Sprintf("%s %s %dns+…", rec.Cat, rec.Name, rec.Start))
 		}
 	}
 	return out
@@ -87,41 +74,26 @@ func (s *Shard) FlightDump() []string {
 	return s.ring.dump()
 }
 
-// EnableFlight arms the flight recorder: the collector's coordinator track
+// EnableFlight arms the flight recorder: the collector's coordinator shard
 // and every shard created afterwards keep a flightDepth-deep ring of
-// recent spans (phases on the coordinator, jobs and fixpoints on workers).
-// Off by default — dump contents depend on worker scheduling, so recorded
-// history must never leak into deterministic outputs unless asked for.
+// recent spans (run and phases on the coordinator, jobs and fixpoints on
+// workers). Off by default — dump contents depend on worker scheduling,
+// so recorded history must never leak into deterministic outputs unless
+// asked for. Call before the pipeline starts.
 func (c *Collector) EnableFlight() {
-	if c == nil {
-		return
+	if c != nil && c.coord.ring == nil {
+		c.coord.ring = &flightRing{}
 	}
-	c.mu.Lock()
-	c.flight = true
-	if c.ring == nil {
-		start := c.start
-		c.ring = newFlightRing(func() int64 { return time.Since(start).Nanoseconds() })
-	}
-	c.mu.Unlock()
 }
 
 // FlightEnabled reports whether EnableFlight has been called.
-func (c *Collector) FlightEnabled() bool {
-	if c == nil {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.flight
-}
+func (c *Collector) FlightEnabled() bool { return c != nil && c.coord.ring != nil }
 
-// FlightDump returns the coordinator ring's recent history (phase-level
-// spans), oldest first.
+// FlightDump returns the coordinator shard's recent history (run and
+// phase spans), oldest first.
 func (c *Collector) FlightDump() []string {
 	if c == nil {
 		return nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ring.dump()
+	return c.coord.FlightDump()
 }

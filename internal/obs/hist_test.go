@@ -174,21 +174,6 @@ func TestShardObserveDrain(t *testing.T) {
 	}
 }
 
-func TestShardObserveMerge(t *testing.T) {
-	a, b := NewShard(), NewShard()
-	a.Observe(HistSigbuildJob, 100)
-	b.Observe(HistSigbuildJob, 200)
-	a.Merge(b)
-	if b.hists != nil {
-		t.Fatal("merge should reset source shard hists")
-	}
-	c := NewCollector()
-	c.Drain(a)
-	if got := c.Snapshot().Hist(HistSigbuildJob); got == nil || got.Count != 2 || got.SumNS != 300 {
-		t.Fatalf("merged hist = %+v, want count 2 sum 300", got)
-	}
-}
-
 func TestHistNilSafety(t *testing.T) {
 	var c *Collector
 	var s *Shard

@@ -1,16 +1,14 @@
-// Package obs is the pipeline observability layer: lightweight phase
-// timers, monotonic counters and gauges threaded through the Extractocol
-// pipeline. The evaluation (§5, Table 2) reports per-app analysis time;
-// this package breaks that single number into per-phase durations and
-// workload counters so every later performance change (sharding, batching,
-// caching) has a measurement substrate to build on.
+// Package obs is the pipeline observability layer: spans, monotonic
+// counters, gauges and latency histograms threaded through the
+// Extractocol pipeline. The evaluation (§5, Table 2) reports per-app
+// analysis time; this package breaks that single number into per-phase
+// durations and workload counters.
 //
-// Concurrency model: a Collector owns the merged view and takes a mutex on
-// every mutation; hot paths (taint worklists, sigbuild workers) never touch
-// it directly. Instead each goroutine owns an unsynchronized Shard and the
-// coordinator drains shards into the collector at phase end — no locks or
-// atomics on the hot path, and no per-increment allocation (map assignment
-// of an existing key does not allocate).
+// Concurrency model: a Collector owns the merged view behind a mutex; hot
+// paths (taint worklists, pool workers) never touch it. Each goroutine
+// owns an unsynchronized Shard, drained into the collector after its pool
+// joins — no locks or atomics on the hot path, and no per-increment
+// allocation (map assignment of an existing key does not allocate).
 package obs
 
 import (
@@ -118,25 +116,23 @@ const (
 )
 
 // Collector accumulates phases, counters and gauges for one analysis run.
-// All methods are safe for concurrent use; a nil *Collector is a no-op so
-// callers may thread one through optionally.
+// Counter, gauge and histogram methods are safe for concurrent use; the
+// span methods (Span, Phase, FlightDump) record on the collector's own
+// coordinator shard and belong to the goroutine driving the pipeline. A
+// nil *Collector is a no-op so callers may thread one through optionally.
 type Collector struct {
 	start time.Time
 
-	// tr, when non-nil, turns the collector's phases into spans and binds
-	// every shard it hands out to a tracer track (see trace.go). Set once
-	// before the pipeline starts; nil keeps tracing strictly zero-cost.
-	tr *Tracer
-
-	// ev/app, when set, stream lifecycle events (phase start/end here, job
-	// and run events at the instrumentation sites) to a structured event
-	// log tagged with the app under analysis (see events.go).
+	// coord is the coordinator shard on tracer track 0: the run and the
+	// phases record through it as jobs do on worker shards. Its tracer and
+	// flight ring are inherited by every shard handed out afterwards.
+	coord *Shard
+	// ev/app stream lifecycle events to a log tagged with the app under
+	// analysis (see events.go).
 	ev  *EventLog
 	app string
 
 	mu       sync.Mutex
-	flight   bool
-	ring     *flightRing
 	order    []string
 	phaseNS  map[string]int64
 	counters map[string]int64
@@ -146,35 +142,35 @@ type Collector struct {
 
 // NewCollector returns an empty collector; its total clock starts now.
 func NewCollector() *Collector {
-	return &Collector{
+	c := &Collector{
 		start:    time.Now(),
 		phaseNS:  map[string]int64{},
 		counters: map[string]int64{},
 		gauges:   map[string]float64{},
 		hists:    map[string]*Hist{},
 	}
+	c.coord = &Shard{counts: map[string]int64{}, col: c, epoch: c.start}
+	return c
 }
 
-// SetTracer attaches a span tracer: phases become coordinator spans with a
-// ReadMemStats heap gauge sampled at each phase end, and shards created
-// afterwards record worker spans. A nil tracer (the default) is free.
+// SetTracer attaches a span tracer before the pipeline starts: the run and
+// phases land on track 0, shards created afterwards on worker tracks. A
+// nil tracer (the default) is free.
 func (c *Collector) SetTracer(tr *Tracer) {
-	if c == nil {
+	if c == nil || tr == nil {
 		return
 	}
-	c.tr = tr
+	c.coord.tr, c.coord.epoch = tr, tr.epoch
 }
 
-// SetEvents attaches a structured event log: phases emit start/end events
-// tagged with the given app name, and shards created afterwards carry the
-// log so job-level instrumentation sites can emit through them. A nil log
-// (the default) is free.
+// SetEvents attaches a structured event log: run and phase spans emit
+// start/end events tagged with the given app name. A nil log (the
+// default) is free.
 func (c *Collector) SetEvents(l *EventLog, app string) {
 	if c == nil {
 		return
 	}
-	c.ev = l
-	c.app = app
+	c.ev, c.app = l, app
 }
 
 // Event emits one event through the collector's log (no-op when none is
@@ -189,44 +185,36 @@ func (c *Collector) Event(e Event) {
 	c.ev.Emit(e)
 }
 
-// Phase starts timing the named phase and returns the function that stops
-// it. Re-entering a phase name accumulates into the same entry. With a
-// tracer attached the phase is also recorded as a coordinator span, and
-// the post-phase heap size lands in the GaugeHeapAllocAfter gauges.
-func (c *Collector) Phase(name string) func() {
+// Span starts a span on the coordinator track (see Shard.Span).
+func (c *Collector) Span(cat, name string) ActiveSpan {
 	if c == nil {
-		return func() {}
+		return ActiveSpan{}
 	}
-	t0 := time.Now()
-	endSpan := c.tr.Span(CatPhase, name)
-	tok := c.flightPush(CatPhase, name)
-	c.Event(Event{Type: EvPhaseStart, Phase: name})
-	return func() {
-		ns := time.Since(t0).Nanoseconds()
-		c.AddPhaseNS(name, ns)
-		c.Observe(HistPhasePrefix+name, ns)
-		c.flightEnd(tok)
-		c.Event(Event{Type: EvPhaseEnd, Phase: name, DurNS: ns})
-		if c.tr != nil {
-			endSpan()
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			c.Gauge(GaugeHeapAllocAfter+name, float64(ms.HeapAlloc))
-		}
-	}
+	return c.coord.Span(cat, name)
 }
 
-// AddPhaseNS adds ns nanoseconds to the named phase.
-func (c *Collector) AddPhaseNS(name string, ns int64) {
+// Phase starts the named phase span and returns the function that ends
+// it. Re-entering a phase name accumulates into the same entry.
+func (c *Collector) Phase(name string) func() { return c.Span(CatPhase, name).End }
+
+// endPhase feeds one finished phase span into the phase total and its
+// histogram, plus the post-phase heap gauge when traced.
+func (c *Collector) endPhase(name string, ns int64, traced bool) {
 	if c == nil {
 		return
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, ok := c.phaseNS[name]; !ok {
 		c.order = append(c.order, name)
 	}
 	c.phaseNS[name] += ns
+	c.mu.Unlock()
+	c.Observe(HistPhasePrefix+name, ns)
+	if traced {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		c.Gauge(GaugeHeapAllocAfter+name, float64(ms.HeapAlloc))
+	}
 }
 
 // Add increments the named counter by delta.
@@ -256,67 +244,40 @@ func (c *Collector) Observe(name string, ns int64) {
 		return
 	}
 	c.mu.Lock()
-	h := c.hists[name]
-	if h == nil {
-		h = &Hist{}
-		c.hists[name] = h
-	}
-	h.Observe(ns)
+	histIn(c.hists, name).Observe(ns)
 	c.mu.Unlock()
 }
 
-// NewShard returns an unsynchronized counter shard. The shard must be
-// owned by exactly one goroutine until it is passed to Drain. When a
-// tracer is attached, the shard is bound to a fresh tracer track so the
-// owning worker's spans render on their own row.
+// histIn returns m's named histogram, creating it on first use.
+func histIn(m map[string]*Hist, name string) *Hist {
+	h := m[name]
+	if h == nil {
+		h = &Hist{}
+		m[name] = h
+	}
+	return h
+}
+
+// NewShard returns a shard for exactly one goroutine until it is passed
+// to Drain (nil for a nil collector). It inherits the coordinator's
+// flight recorder and, when traced, gets its own tracer track.
 func (c *Collector) NewShard() *Shard {
-	s := &Shard{counts: map[string]int64{}}
 	if c == nil {
-		return s
+		return nil
 	}
-	if c.tr != nil {
-		s.tr = c.tr
-		s.tid = c.tr.allocTID()
+	co := c.coord
+	s := &Shard{counts: map[string]int64{}, col: c, epoch: co.epoch}
+	if co.tr != nil {
+		s.tr, s.tid = co.tr, co.tr.allocTID()
 	}
-	s.ev, s.app = c.ev, c.app
-	c.mu.Lock()
-	if c.flight {
-		start := c.start
-		s.ring = newFlightRing(func() int64 { return time.Since(start).Nanoseconds() })
+	if co.ring != nil {
+		s.ring = &flightRing{}
 	}
-	c.mu.Unlock()
 	return s
 }
 
-// flightPush records a coordinator-level span start into the collector's
-// flight ring; returns 0 when the recorder is unarmed.
-func (c *Collector) flightPush(cat, name string) uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ring == nil {
-		return 0
-	}
-	return c.ring.push(cat, name)
-}
-
-// flightEnd closes a coordinator-level flight record.
-func (c *Collector) flightEnd(tok uint64) {
-	if c == nil || tok == 0 {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ring != nil {
-		c.ring.end(tok)
-	}
-}
-
 // Drain merges a shard's counts into the collector, flushes its span
-// buffer into the tracer, and resets the shard. The shard's owner must
-// have stopped writing (e.g. after wg.Wait).
+// buffer, and resets the shard. Its owner must have stopped writing.
 func (c *Collector) Drain(s *Shard) {
 	if c == nil || s == nil {
 		return
@@ -326,12 +287,7 @@ func (c *Collector) Drain(s *Shard) {
 		c.counters[k] += v
 	}
 	for k, sh := range s.hists {
-		h := c.hists[k]
-		if h == nil {
-			h = &Hist{}
-			c.hists[k] = h
-		}
-		h.merge(sh)
+		histIn(c.hists, k).merge(sh)
 	}
 	c.mu.Unlock()
 	s.counts = map[string]int64{}
@@ -350,65 +306,49 @@ type Shard struct {
 	// Hist.Observe, with no allocation.
 	hists map[string]*Hist
 
+	// col is the collector that handed the shard out (nil for standalone
+	// shards): phase totals and events go there. epoch is the zero of the
+	// span clock, the tracer's epoch when traced.
+	col   *Collector
+	epoch time.Time
+
 	// tr/tid bind the shard to a tracer track; nil tr (the default for
-	// standalone shards and untraced collectors) makes Span a no-op.
+	// standalone shards and untraced collectors) keeps spans off the
+	// timeline. open counts traced spans not yet ended: the buffer flushes
+	// to the tracer when the outermost one ends.
 	tr    *Tracer
 	tid   int64
-	spans []spanRec
+	spans []Span
+	open  int
 
 	// ring, when armed via Collector.EnableFlight, keeps the newest
 	// flightDepth spans for post-mortem dumps (see flight.go).
 	ring *flightRing
-
-	// ev/app let job-level instrumentation emit structured events without
-	// reaching back to the collector.
-	ev  *EventLog
-	app string
 }
 
-// Event emits one event through the shard's log (no-op when none is
-// attached), tagged with the shard's app.
+// Event emits one event through the log of the collector that handed the
+// shard out (no-op for standalone shards or when no log is attached).
 func (s *Shard) Event(e Event) {
-	if s == nil || s.ev == nil {
-		return
+	if s != nil {
+		s.col.Event(e)
 	}
-	if e.App == "" {
-		e.App = s.app
-	}
-	s.ev.Emit(e)
 }
 
-// Span starts a worker span on this shard's tracer track and, when the
-// flight recorder is armed, in the shard's flight ring. With neither bound
-// (or a nil shard) it returns the zero ActiveSpan and performs no
-// allocation, so hot loops may call it unconditionally.
-func (s *Shard) Span(cat, name string) ActiveSpan {
-	if s == nil || (s.tr == nil && s.ring == nil) {
-		return ActiveSpan{}
-	}
-	a := ActiveSpan{s: s, idx: -1}
-	if s.tr != nil {
-		s.spans = append(s.spans, spanRec{cat: cat, name: name, start: s.tr.since()})
-		a.idx = len(s.spans) - 1
-	}
-	if s.ring != nil {
-		a.rseq = s.ring.push(cat, name)
-	}
-	return a
-}
+// now reads the shard's span clock in nanoseconds since its epoch.
+func (s *Shard) now() int64 { return time.Since(s.epoch).Nanoseconds() }
 
 // flushSpans moves the shard's span buffer into its tracer (no-op when
-// untraced). The shard must be quiescent.
+// untraced). Spans still open clamp to zero duration.
 func (s *Shard) flushSpans() {
 	if s == nil || s.tr == nil || len(s.spans) == 0 {
 		return
 	}
 	s.tr.flush(s.tid, s.spans)
-	s.spans = nil
+	s.spans, s.open = s.spans[:0], 0
 }
 
-// NewShard returns a standalone shard not yet bound to a collector.
-func NewShard() *Shard { return &Shard{counts: map[string]int64{}} }
+// NewShard returns a standalone shard not bound to a collector.
+func NewShard() *Shard { return &Shard{counts: map[string]int64{}, epoch: time.Now()} }
 
 // Add increments the named counter by delta.
 func (s *Shard) Add(name string, delta int64) {
@@ -418,59 +358,19 @@ func (s *Shard) Add(name string, delta int64) {
 	s.counts[name] += delta
 }
 
-// Count returns the shard's current value for the named counter.
-func (s *Shard) Count(name string) int64 {
-	if s == nil {
-		return 0
-	}
-	return s.counts[name]
-}
-
 // Observe records one nanosecond measurement into the shard's named
 // histogram. Unsynchronized like Add: only the owning goroutine may call
 // it. After the first observation of a name, subsequent ones allocate
-// nothing (pinned by TestHistogramDisabledZeroAlloc and
+// nothing (pinned by TestHistogramRecordZeroAlloc and
 // BenchmarkHistogramRecord).
 func (s *Shard) Observe(name string, ns int64) {
 	if s == nil {
 		return
 	}
-	h := s.hists[name]
-	if h == nil {
-		if s.hists == nil {
-			s.hists = map[string]*Hist{}
-		}
-		h = &Hist{}
-		s.hists[name] = h
+	if s.hists == nil {
+		s.hists = map[string]*Hist{}
 	}
-	h.Observe(ns)
-}
-
-// Merge adds o's counts into s and resets o. Both shards must be quiescent
-// (their owning goroutines done writing); used to fold worker shards into a
-// caller-owned shard when no Collector is threaded through. Spans recorded
-// on o flush straight to its own tracer track.
-func (s *Shard) Merge(o *Shard) {
-	if s == nil || o == nil {
-		return
-	}
-	for k, v := range o.counts {
-		s.counts[k] += v
-	}
-	for k, oh := range o.hists {
-		h := s.hists[k]
-		if h == nil {
-			if s.hists == nil {
-				s.hists = map[string]*Hist{}
-			}
-			h = &Hist{}
-			s.hists[k] = h
-		}
-		h.merge(oh)
-	}
-	o.counts = map[string]int64{}
-	o.hists = nil
-	o.flushSpans()
+	histIn(s.hists, name).Observe(ns)
 }
 
 // PhaseProfile is one timed pipeline stage.

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -52,8 +54,8 @@ func TestShardDrain(t *testing.T) {
 	c := NewCollector()
 	s := c.NewShard()
 	s.Add("x", 7)
-	if s.Count("x") != 7 {
-		t.Fatalf("shard count = %d", s.Count("x"))
+	if got := c.Snapshot().Counter("x"); got != 0 {
+		t.Fatalf("undrained shard leaked %d into the collector", got)
 	}
 	c.Drain(s)
 	c.Drain(s) // second drain is a no-op: the shard was reset
@@ -74,8 +76,9 @@ func TestNilSafety(t *testing.T) {
 
 	var s *Shard
 	s.Add("x", 1)
-	if s.Count("x") != 0 {
-		t.Fatal("nil shard must count 0")
+	s.Span(CatSliceJob, "job").End()
+	if c.NewShard() != nil || c.Span(CatRun, "app") != (ActiveSpan{}) {
+		t.Fatal("nil collector must hand out nil shards and zero spans")
 	}
 
 	var p *Profile
@@ -161,5 +164,153 @@ func TestProfileJSONShape(t *testing.T) {
 	}
 	if len(back.Phases) != 1 || back.Phases[0].Name != "validate" || back.Counter("dp_sites") != 3 {
 		t.Fatalf("round-trip mismatch: %s", data)
+	}
+}
+
+// TestSpanEndFeedsCategorySinks pins the recording table: a job span's
+// End feeds the job counter, busy time and per-job histogram; a phase
+// span's End feeds the phase total, its histogram and the phase events;
+// the run span emits the run events; other categories record nothing
+// unless a tracer or flight ring is armed.
+func TestSpanEndFeedsCategorySinks(t *testing.T) {
+	var buf bytes.Buffer
+	c := NewCollector()
+	c.SetEvents(NewEventLog(&buf), "app")
+	run := c.Span(CatRun, "app")
+	c.Phase(PhaseSlice)()
+	s := c.NewShard()
+	for i := 0; i < 3; i++ {
+		s.Span(CatSliceJob, "job").End()
+	}
+	if sp := s.Span(CatTaintBackward, "fix"); sp != (ActiveSpan{}) {
+		t.Fatalf("untraced taint span = %+v, want the zero span", sp)
+	}
+	c.Drain(s)
+	run.End()
+
+	p := c.Snapshot()
+	if got := p.Counter(CtrSliceJobs); got != 3 {
+		t.Errorf("slice_jobs = %d, want 3", got)
+	}
+	if h := p.Hist(HistSliceJob); h == nil || h.Count != 3 || h.SumNS != p.Counter(CtrSliceBusyNS) {
+		t.Errorf("slice_job hist = %+v, want count 3 summing to slice_busy_ns %d", h, p.Counter(CtrSliceBusyNS))
+	}
+	if h := p.Hist(HistPhasePrefix + PhaseSlice); h == nil || h.Count != 1 || h.SumNS != int64(p.Phase(PhaseSlice)) {
+		t.Errorf("phase hist = %+v, want one observation of the phase total %d", h, p.Phase(PhaseSlice))
+	}
+	if len(p.Phases) != 1 {
+		t.Errorf("phases = %+v, want only %q", p.Phases, PhaseSlice)
+	}
+	if err := c.ev.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var types []string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var e Event
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatal(err)
+		}
+		types = append(types, e.Type+":"+e.Phase)
+	}
+	want := []string{"run_start:", "phase_start:slice", "phase_end:slice", "run_end:"}
+	if strings.Join(types, " ") != strings.Join(want, " ") {
+		t.Errorf("events = %v, want %v", types, want)
+	}
+}
+
+// TestSpanTracks checks that run and phase spans land on coordinator
+// track 0 and job spans on their worker's track, each published once the
+// shard's outermost span ends.
+func TestSpanTracks(t *testing.T) {
+	tr := NewTracer()
+	c := NewCollector()
+	c.SetTracer(tr)
+	run := c.Span(CatRun, "app")
+	end := c.Phase(PhaseSigbuild)
+	s := c.NewShard()
+	job := s.Span(CatSigbuildJob, "job")
+	s.Span(CatTaintForward, "fix").End()
+	job.End()
+	if n := len(tr.Spans()); n != 2 {
+		t.Fatalf("%d spans published after the job ended, want the job and its fixpoint", n)
+	}
+	end()
+	run.End()
+	tracks := map[string]int64{}
+	for _, sp := range tr.Spans() {
+		tracks[sp.Cat] = sp.TID
+	}
+	if len(tracks) != 4 || tracks[CatRun] != 0 || tracks[CatPhase] != 0 ||
+		tracks[CatSigbuildJob] == 0 || tracks[CatTaintForward] != tracks[CatSigbuildJob] {
+		t.Errorf("span tracks = %v", tracks)
+	}
+}
+
+func TestFan(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		n, workers      int
+		serial          bool
+		wantWorkers     float64
+		wantGaugesUnset bool
+	}{
+		{name: "parallel", n: 50, workers: 4, wantWorkers: 4},
+		{name: "clamped to jobs", n: 2, workers: 8, wantWorkers: 2},
+		{name: "serial", n: 20, workers: 4, serial: true, wantWorkers: 1},
+		{name: "no jobs", n: 0, workers: 4, wantGaugesUnset: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewCollector()
+			ran := make([]int, tc.n)
+			last := -1
+			c.Fan(CatSigbuildJob, tc.n, tc.workers, tc.serial, func(i int, s *Shard) {
+				sp := s.Span(CatSigbuildJob, "job")
+				defer sp.End()
+				ran[i]++
+				if tc.serial {
+					if i != last+1 {
+						t.Errorf("serial pool ran job %d after %d", i, last)
+					}
+					last = i
+				}
+			})
+			for i, n := range ran {
+				if n != 1 {
+					t.Errorf("job %d ran %d times", i, n)
+				}
+			}
+			p := c.Snapshot()
+			if got := p.Counter(CtrSigbuildJobs); got != int64(tc.n) {
+				t.Errorf("sigbuild_jobs = %d, want %d", got, tc.n)
+			}
+			w, ok := p.Gauges[GaugeSigbuildWorkers]
+			if tc.wantGaugesUnset {
+				if ok {
+					t.Errorf("empty pool set %s = %v", GaugeSigbuildWorkers, w)
+				}
+				return
+			}
+			if w != tc.wantWorkers {
+				t.Errorf("%s = %v, want %v", GaugeSigbuildWorkers, w, tc.wantWorkers)
+			}
+			if u := p.Gauges[GaugeSigbuildUtilization]; u < 0 || u > 1 {
+				t.Errorf("%s = %v, want within [0, 1]", GaugeSigbuildUtilization, u)
+			}
+		})
+	}
+
+	// A nil collector still runs every job, on nil shards.
+	var c *Collector
+	ran := make([]bool, 3)
+	c.Fan(CatSliceJob, len(ran), 2, false, func(i int, s *Shard) {
+		if s != nil {
+			t.Errorf("job %d got a shard from a nil collector", i)
+		}
+		ran[i] = true
+	})
+	for i, ok := range ran {
+		if !ok {
+			t.Errorf("nil collector skipped job %d", i)
+		}
 	}
 }

@@ -1,19 +1,17 @@
-// Span tracing: the second side of the observability layer. Where the
-// Collector aggregates per-phase totals, the Tracer keeps every individual
-// unit of work as a hierarchical span — run → phase → slice job / sigbuild
-// worker → taint fixpoint — and exports the result as Chrome trace-event
-// JSON, loadable in Perfetto or chrome://tracing.
+// Spans: the one recording path of the observability layer. Every timed
+// unit of work — run → phase → slice / sigbuild job → pairing flow check
+// → taint fixpoint — is a span opened with Shard.Span and closed with
+// ActiveSpan.End, the only place a duration is recorded. The spanKinds
+// table fixes per category what End feeds; the tracer track and the
+// flight ring get every span whenever they are armed. The Tracer exports
+// Chrome trace-event JSON, loadable in Perfetto or chrome://tracing.
 //
-// Concurrency model mirrors the counter shards: hot paths record spans on
-// the unsynchronized per-worker Shard they already own (no locks, no
-// atomics, no allocation beyond the span buffer append), and the
-// coordinator flushes them into the Tracer when it drains the shard at
-// phase end. Coordinator-side spans (the run and the phases) go through
-// the Tracer's mutex directly — they fire a handful of times per analysis.
-//
-// Everything is nil-safe: with no Tracer attached, Shard.Span is a pointer
-// test returning a zero ActiveSpan, so instrumented hot loops cost nothing
-// when tracing is off (benchmark-guarded by BenchmarkTracerDisabled).
+// Spans record on the shard the recording goroutine owns — no locks, no
+// atomics, no allocation beyond the span buffer append — and a shard's
+// buffer moves into the Tracer when its outermost span ends or the shard
+// is drained. The run and the phases record on the collector's
+// coordinator shard, track 0. A span outside the table on an untraced,
+// unarmed shard reads no clock (guarded by BenchmarkTracerDisabled).
 package obs
 
 import (
@@ -50,7 +48,7 @@ const GaugeHeapAllocAfter = "heap_alloc_after_"
 
 // Span is one finished unit of traced work, timed relative to the tracer's
 // epoch. TID is the logical track: 0 for the coordinator, one per worker
-// shard otherwise.
+// shard otherwise. A span never ended (e.g. a panicking job) keeps Dur 0.
 type Span struct {
 	TID   int64
 	Cat   string
@@ -59,42 +57,124 @@ type Span struct {
 	Dur   int64 // ns
 }
 
-// spanRec is the in-shard representation of a span: end is filled by
-// ActiveSpan.End, and zero (never ended, e.g. a panicking job) clamps to a
-// zero-duration span at flush.
-type spanRec struct {
-	cat, name  string
-	start, end int64
+// spanKind is one row of the recording table: what a span of category cat
+// feeds besides the tracer and flight ring. startEv/endEv are lifecycle
+// events (phase events carry the span name as Phase); phase feeds the
+// collector's phase total, its phase_<name> histogram and, when traced,
+// the heap gauge; jobs, busy and hist count the job, its busy time and its
+// latency; workers and util name the gauges Collector.Fan sets.
+type spanKind struct {
+	cat, startEv, endEv             string
+	phase                           bool
+	jobs, busy, hist, workers, util string
 }
 
-// ActiveSpan is a started span on a shard. It is a small value — never
-// heap-allocated — so starting and ending spans is allocation-free. The
-// zero ActiveSpan (tracing and flight recording both disabled) is a no-op.
-// idx indexes the shard's span buffer (-1 when untraced); rseq is the
-// flight-ring token (0 when the recorder is unarmed).
-type ActiveSpan struct {
-	s    *Shard
-	idx  int
-	rseq uint64
+// spanKinds is the recording table. Categories absent from it (pairing
+// flow checks, taint fixpoints) feed only the tracer and flight ring.
+var spanKinds = [...]spanKind{
+	{cat: CatRun, startEv: EvRunStart, endEv: EvRunEnd},
+	{cat: CatPhase, startEv: EvPhaseStart, endEv: EvPhaseEnd, phase: true},
+	{cat: CatSliceJob, jobs: CtrSliceJobs, busy: CtrSliceBusyNS, hist: HistSliceJob,
+		workers: GaugeSliceWorkers, util: GaugeSliceUtilization},
+	{cat: CatSigbuildJob, jobs: CtrSigbuildJobs, busy: CtrSigbuildBusyNS, hist: HistSigbuildJob,
+		workers: GaugeSigbuildWorkers, util: GaugeSigbuildUtilization},
 }
 
-// End closes the span at the current tracer clock (and in the flight ring
-// when armed).
-func (a ActiveSpan) End() {
-	if a.s == nil {
+// kindOf returns the table row of cat, nil when it has none.
+func kindOf(cat string) *spanKind {
+	for i := range spanKinds {
+		if spanKinds[i].cat == cat {
+			return &spanKinds[i]
+		}
+	}
+	return nil
+}
+
+// emit sends one of the kind's lifecycle events through s.
+func (k *spanKind) emit(s *Shard, typ, name string, ns int64) {
+	if typ == "" {
 		return
 	}
+	e := Event{Type: typ, DurNS: ns}
+	if k.phase {
+		e.Phase = name
+	}
+	s.Event(e)
+}
+
+// ActiveSpan is a started span: a small value, so starting and ending
+// spans is allocation-free; the zero ActiveSpan is a no-op. idx indexes
+// the shard's span buffer (-1 when untraced), rseq is the flight-ring
+// token (0 when unarmed).
+type ActiveSpan struct {
+	s     *Shard
+	k     *spanKind
+	name  string
+	start int64
+	idx   int
+	rseq  uint64
+}
+
+// Span starts a span of category cat on this shard. With nothing to feed
+// (or a nil shard) it returns the zero ActiveSpan without reading the
+// clock, so hot loops may call it unconditionally.
+func (s *Shard) Span(cat, name string) ActiveSpan {
+	if s == nil {
+		return ActiveSpan{}
+	}
+	k := kindOf(cat)
+	if k == nil && s.tr == nil && s.ring == nil {
+		return ActiveSpan{}
+	}
+	a := ActiveSpan{s: s, k: k, name: name, start: s.now(), idx: -1}
+	if s.tr != nil {
+		s.spans = append(s.spans, Span{Cat: cat, Name: name, Start: a.start})
+		a.idx = len(s.spans) - 1
+		s.open++
+	}
+	if s.ring != nil {
+		a.rseq = s.ring.push(cat, name, a.start)
+	}
+	if k != nil {
+		k.emit(s, k.startEv, name, 0)
+	}
+	return a
+}
+
+// End closes the span and feeds every sink its category records into.
+func (a ActiveSpan) End() {
+	s := a.s
+	if s == nil {
+		return
+	}
+	now := s.now()
 	if a.idx >= 0 {
-		a.s.spans[a.idx].end = a.s.tr.since()
+		s.spans[a.idx].Dur = now - a.start
+		if s.open--; s.open == 0 {
+			s.flushSpans()
+		}
 	}
 	if a.rseq != 0 {
-		a.s.ring.end(a.rseq)
+		s.ring.end(a.rseq, now)
 	}
+	k := a.k
+	if k == nil {
+		return
+	}
+	ns := now - a.start
+	if k.phase {
+		s.col.endPhase(a.name, ns, s.tr != nil)
+	}
+	if k.jobs != "" {
+		s.counts[k.jobs]++
+		s.counts[k.busy] += ns
+		s.Observe(k.hist, ns)
+	}
+	k.emit(s, k.endEv, a.name, ns)
 }
 
 // Tracer owns the merged span timeline of one analysis run. All methods
-// are safe for concurrent use and nil-safe, so callers thread one through
-// optionally exactly like the Collector.
+// are safe for concurrent use.
 type Tracer struct {
 	epoch time.Time
 
@@ -106,9 +186,6 @@ type Tracer struct {
 // NewTracer returns an empty tracer; its clock epoch starts now.
 func NewTracer() *Tracer { return &Tracer{epoch: time.Now(), next: 1} }
 
-// since returns the tracer-relative clock in nanoseconds.
-func (t *Tracer) since() int64 { return time.Since(t.epoch).Nanoseconds() }
-
 // allocTID reserves a fresh worker track.
 func (t *Tracer) allocTID() int64 {
 	t.mu.Lock()
@@ -118,35 +195,13 @@ func (t *Tracer) allocTID() int64 {
 	return id
 }
 
-// Span starts a coordinator-side span (track 0) and returns the function
-// that ends it. Used for the run and phase levels of the hierarchy; worker
-// spans go through Shard.Span instead.
-func (t *Tracer) Span(cat, name string) func() {
-	if t == nil {
-		return func() {}
-	}
-	start := t.since()
-	return func() {
-		end := t.since()
-		t.mu.Lock()
-		t.spans = append(t.spans, Span{Cat: cat, Name: name, Start: start, Dur: end - start})
-		t.mu.Unlock()
-	}
-}
-
-// flush merges a quiescent shard's span buffer into the tracer.
-func (t *Tracer) flush(tid int64, recs []spanRec) {
-	if t == nil || len(recs) == 0 {
-		return
-	}
+// flush merges a shard's span buffer into the tracer on track tid.
+func (t *Tracer) flush(tid int64, spans []Span) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, r := range recs {
-		end := r.end
-		if end < r.start {
-			end = r.start
-		}
-		t.spans = append(t.spans, Span{TID: tid, Cat: r.cat, Name: r.name, Start: r.start, Dur: end - r.start})
+	for _, sp := range spans {
+		sp.TID = tid
+		t.spans = append(t.spans, sp)
 	}
 }
 

@@ -14,9 +14,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"os"
 	"time"
 
 	"extractocol/internal/obs"
@@ -107,5 +109,56 @@ func (s *Server) Close() error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	return s.srv.Shutdown(ctx)
+	err := s.srv.Shutdown(ctx)
+	// Shutdown closes only the listeners Serve has picked up; closing ours
+	// too releases the port on return even if the serve goroutine has not
+	// started yet (the second close's error is expected and ignored).
+	s.ln.Close()
+	return err
+}
+
+// Telemetry is the live ops plane behind the commands' -ops and -events
+// flags: a registry for exposition, the HTTP listener, and the structured
+// event log. The zero value (no flags) is fully off and costs nothing on
+// the analysis path.
+type Telemetry struct {
+	Reg    *obs.Registry
+	Events *obs.EventLog
+	srv    *Server
+}
+
+// Open starts whatever a non-empty opsAddr and eventsFile ask for. The
+// bound ops address is announced on announce (the commands pass stderr,
+// keeping stdout for their output) so scripts can discover a :0 listener.
+// On error nothing is left running.
+func Open(opsAddr, eventsFile string, announce io.Writer) (*Telemetry, error) {
+	t := &Telemetry{}
+	if opsAddr != "" {
+		t.Reg = obs.NewRegistry()
+		srv, err := Serve(opsAddr, t.Reg)
+		if err != nil {
+			return nil, err
+		}
+		t.srv = srv
+		fmt.Fprintf(announce, "ops: serving on %s\n", srv.URL())
+	}
+	if eventsFile != "" {
+		f, err := os.Create(eventsFile)
+		if err != nil {
+			t.srv.Close()
+			return nil, fmt.Errorf("events: %w", err)
+		}
+		t.Events = obs.NewEventLog(f)
+	}
+	return t, nil
+}
+
+// Close shuts the listener down and flushes the event log; the first
+// error wins.
+func (t *Telemetry) Close() error {
+	err := t.srv.Close()
+	if e := t.Events.Close(); err == nil {
+		err = e
+	}
+	return err
 }

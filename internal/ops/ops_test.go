@@ -3,7 +3,10 @@ package ops
 import (
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -116,5 +119,62 @@ func TestServeNilSafety(t *testing.T) {
 	}
 	if _, err := Serve("256.256.256.256:1", obs.NewRegistry()); err == nil {
 		t.Fatal("bad address should error")
+	}
+}
+
+// TestOpenListenError checks that a listener failure surfaces with the one
+// "ops: listen" prefix Serve gives it, not a doubled one.
+func TestOpenListenError(t *testing.T) {
+	_, err := Open("127.0.0.1:99999", "", io.Discard)
+	if err == nil {
+		t.Fatal("invalid port should error")
+	}
+	if msg := err.Error(); !strings.HasPrefix(msg, "ops: listen 127.0.0.1:99999: ") || strings.Contains(msg, "ops: ops:") {
+		t.Errorf("error = %q, want one ops: listen prefix", msg)
+	}
+}
+
+// TestOpenEventsErrorClosesListener checks that when the events file
+// cannot be created, the listener Open already bound is released.
+func TestOpenEventsErrorClosesListener(t *testing.T) {
+	var announce strings.Builder
+	bad := filepath.Join(t.TempDir(), "missing", "events.jsonl")
+	if _, err := Open("127.0.0.1:0", bad, &announce); err == nil || !strings.HasPrefix(err.Error(), "events: ") {
+		t.Fatalf("err = %v, want an events: error", err)
+	}
+	addr := strings.TrimPrefix(strings.TrimSpace(announce.String()), "ops: serving on http://")
+	if addr == "" || addr == strings.TrimSpace(announce.String()) {
+		t.Fatalf("listener address never announced: %q", announce.String())
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("listener on %s still held after the failed Open: %v", addr, err)
+	}
+	ln.Close()
+}
+
+func TestOpenOffAndClose(t *testing.T) {
+	tel, err := Open("", "", io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tel.Reg != nil || tel.Events != nil {
+		t.Fatalf("no flags should leave telemetry off: %+v", tel)
+	}
+	if err := tel.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "events.jsonl")
+	tel, err = Open("127.0.0.1:0", path, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel.Events.Emit(obs.Event{Type: obs.EvRunStart})
+	if err := tel.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if data, err := os.ReadFile(path); err != nil || !strings.Contains(string(data), obs.EvRunStart) {
+		t.Fatalf("events file = %q, %v; want the flushed event", data, err)
 	}
 }

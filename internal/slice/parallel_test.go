@@ -38,7 +38,7 @@ func TestFindParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// Find must run without any stats plumbing: nil Stats, nil Col.
+// Find must run without any stats plumbing: a nil Col.
 func TestFindNilStats(t *testing.T) {
 	p := twoHandlerApp()
 	model := semmodel.Default()
@@ -50,7 +50,7 @@ func TestFindNilStats(t *testing.T) {
 }
 
 // With a Collector attached, the pool reports job/busy counters and the
-// worker gauges; with only a Stats shard, counters land there instead.
+// worker gauges, whether it runs serially or across several workers.
 func TestFindPoolObservability(t *testing.T) {
 	p := twoHandlerApp()
 	model := semmodel.Default()
@@ -72,13 +72,14 @@ func TestFindPoolObservability(t *testing.T) {
 		t.Errorf("slice_worker_utilization = %v, want within [0, 1.05]", u)
 	}
 
-	stats := obs.NewShard()
-	Find(p, model, cg, Options{MaxAsyncHops: 1, Stats: stats, Workers: 3})
-	if stats.Count(obs.CtrSliceJobs) == 0 {
-		t.Error("worker shards were not merged into the caller's shard")
+	col = obs.NewCollector()
+	Find(p, model, cg, Options{MaxAsyncHops: 1, Col: col, Workers: 3})
+	prof = col.Snapshot()
+	if prof.Counter(obs.CtrSliceJobs) == 0 {
+		t.Error("worker shards were not drained into the collector")
 	}
-	if stats.Count(obs.CtrSlicesBackward) == 0 {
-		t.Error("no backward slices counted through the shard")
+	if prof.Counter(obs.CtrSlicesBackward) == 0 {
+		t.Error("no backward slices counted through the worker shards")
 	}
 }
 

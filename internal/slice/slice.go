@@ -14,9 +14,7 @@ package slice
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"time"
 
 	"extractocol/internal/budget"
 	"extractocol/internal/callgraph"
@@ -78,12 +76,9 @@ type Options struct {
 	// Workers bounds the extraction worker pool: 0 means GOMAXPROCS, 1
 	// forces serial extraction. Output is deterministic regardless.
 	Workers int
-	// Stats receives workload counters (slices computed, taint facts
-	// propagated) when Col is nil. Workers count into private shards that
-	// are merged in after the pool drains, so a nil shard is fine.
-	Stats *obs.Shard
-	// Col, when non-nil, receives the worker shards and the pool gauges
-	// (slice_workers, slice_worker_utilization) instead of Stats.
+	// Col, when non-nil, receives the workload counters of the worker
+	// shards (slices computed, taint facts propagated, jobs run), their
+	// spans, and the pool gauges (slice_workers, slice_worker_utilization).
 	Col *obs.Collector
 	// Summaries, when non-nil, is a shared taint transfer-summary cache
 	// (see taint.SummaryCache); nil uses a cache private to this call.
@@ -160,23 +155,12 @@ func FindBudgeted(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph, opt
 		sums = taint.NewSummaryCache()
 	}
 	bud := opts.Budget
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	// Step pools drain in job order: force serial extraction so exhaustion
-	// always cuts the job list at the same deterministic prefix.
-	if bud.HasStepLimits() && workers > 1 {
-		workers = 1
-	}
-
-	fanStart := time.Now()
 	results := make([]*Transaction, len(jobs))
 	diags := make([]*budget.Diagnostic, len(jobs))
-	runJob := func(i int, stats *obs.Shard) {
+	// Step pools drain in job order: a step budget forces serial extraction
+	// so exhaustion always cuts the job list at the same deterministic
+	// prefix.
+	opts.Col.Fan(obs.CatSliceJob, len(jobs), opts.Workers, bud.HasStepLimits(), func(i int, stats *obs.Shard) {
 		j := jobs[i]
 		id := j.id()
 		defer func() {
@@ -199,13 +183,11 @@ func FindBudgeted(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph, opt
 			return
 		}
 		// The span starts before the fault probe so a panicking job is
-		// in-flight in the ring: its flight dump names the job that died.
+		// recorded in the ring: its flight dump names the job that died.
 		sp := stats.Span(obs.CatSliceJob, id)
 		defer sp.End()
 		bud.MaybePanic(budget.PhaseSlice, id)
-		t0 := time.Now()
 		tx := buildTransaction(p, model, cg, opts, j, stats, sums)
-		ns := time.Since(t0).Nanoseconds()
 		if ex := truncatedBy(tx); ex != nil {
 			// A partial slice would produce a wrong signature: drop the
 			// transaction and say exactly what was lost.
@@ -216,65 +198,7 @@ func FindBudgeted(p *ir.Program, model *semmodel.Model, cg *callgraph.Graph, opt
 			tx = nil
 		}
 		results[i] = tx
-		stats.Add(obs.CtrSliceJobs, 1)
-		stats.Add(obs.CtrSliceBusyNS, ns)
-		stats.Observe(obs.HistSliceJob, ns)
-	}
-	// Shards come from the collector when one is threaded through, so each
-	// worker lands on its own tracer track; standalone shards stay untraced.
-	newShard := func() *obs.Shard {
-		if opts.Col != nil {
-			return opts.Col.NewShard()
-		}
-		return obs.NewShard()
-	}
-	drain := func(s *obs.Shard) {
-		if opts.Col != nil {
-			opts.Col.Drain(s)
-		} else {
-			opts.Stats.Merge(s)
-		}
-	}
-
-	if workers > 1 {
-		var wg sync.WaitGroup
-		ch := make(chan int)
-		shards := make([]*obs.Shard, workers)
-		for w := 0; w < workers; w++ {
-			shard := newShard()
-			shards[w] = shard
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range ch {
-					runJob(i, shard)
-				}
-			}()
-		}
-		for i := range jobs {
-			ch <- i
-		}
-		close(ch)
-		wg.Wait()
-		for _, shard := range shards {
-			drain(shard)
-		}
-	} else {
-		shard := newShard()
-		for i := range jobs {
-			runJob(i, shard)
-		}
-		drain(shard)
-	}
-
-	if opts.Col != nil && workers > 0 {
-		opts.Col.Gauge(obs.GaugeSliceWorkers, float64(workers))
-		totalBusy := opts.Col.Snapshot().Counter(obs.CtrSliceBusyNS)
-		if wall := time.Since(fanStart).Nanoseconds(); wall > 0 {
-			opts.Col.Gauge(obs.GaugeSliceUtilization,
-				float64(totalBusy)/float64(int64(workers)*wall))
-		}
-	}
+	})
 
 	// Positional assembly: IDs follow job enumeration order, skipping jobs
 	// that produced no transaction — identical to the serial numbering.

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"testing"
 
@@ -291,12 +290,10 @@ func TestHistogramRecordZeroAlloc(t *testing.T) {
 // ---- Telemetry-plane guard -----------------------------------------------------
 //
 // TestObsBenchGuard pins the telemetry plane's costs against BENCH_obs.json
-// with the usual slack factors and EXTRACTOCOL_BENCH_BASELINE=write
-// regeneration convention: the histogram record path, and one end-to-end
-// analysis with the full plane on (registry, event log to a discard
-// writer, flight recorder) — the overhead column of EXPERIMENTS.md.
-
-const obsBaselinePath = "BENCH_obs.json"
+// through the shared per-op guard (see bench_guard_test.go): the histogram
+// record path, and one end-to-end analysis with the full plane on
+// (registry, event log to a discard writer, flight recorder) — the
+// overhead column of EXPERIMENTS.md.
 
 // BenchmarkAnalyzeTelemetryOn is BENCH_baseline's analysis with every
 // telemetry hook armed; comparing ns/op against BENCH_baseline.json gives
@@ -321,68 +318,13 @@ func BenchmarkAnalyzeTelemetryOn(b *testing.B) {
 	}
 }
 
-func measureObsOps(t *testing.T) sliceBenchBaseline {
-	t.Helper()
-	bl := sliceBenchBaseline{App: guardApp, Ops: map[string]sliceOpBaseline{}}
-	for name, fn := range map[string]func(*testing.B){
+var obsGuard = opsGuard{
+	path: "BENCH_obs.json",
+	app:  guardApp,
+	ops: map[string]func(*testing.B){
 		"hist_record":          BenchmarkHistogramRecord,
 		"analyze_telemetry_on": BenchmarkAnalyzeTelemetryOn,
-	} {
-		res := testing.Benchmark(fn)
-		if res.N == 0 {
-			t.Fatalf("benchmark %q failed to run", name)
-		}
-		bl.Ops[name] = sliceOpBaseline{NsPerOp: res.NsPerOp(), AllocsPerOp: res.AllocsPerOp()}
-	}
-	return bl
+	},
 }
 
-func TestObsBenchGuard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark guard")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation skews timing and allocation counts")
-	}
-
-	cur := measureObsOps(t)
-
-	data, err := os.ReadFile(obsBaselinePath)
-	if os.IsNotExist(err) || os.Getenv("EXTRACTOCOL_BENCH_BASELINE") == "write" {
-		out, merr := json.MarshalIndent(cur, "", "  ")
-		if merr != nil {
-			t.Fatal(merr)
-		}
-		if werr := os.WriteFile(obsBaselinePath, append(out, '\n'), 0o644); werr != nil {
-			t.Fatal(werr)
-		}
-		t.Logf("wrote %s: %s", obsBaselinePath, out)
-		return
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	var base sliceBenchBaseline
-	if err := json.Unmarshal(data, &base); err != nil {
-		t.Fatalf("corrupt %s: %v", obsBaselinePath, err)
-	}
-	if base.App != cur.App {
-		t.Fatalf("baseline measures %q, guard measures %q; regenerate the baseline", base.App, cur.App)
-	}
-
-	for name, b := range base.Ops {
-		got, ok := cur.Ops[name]
-		if !ok {
-			t.Errorf("op %q vanished from the guard; regenerate %s if intentional", name, obsBaselinePath)
-			continue
-		}
-		if got.NsPerOp > b.NsPerOp*nsSlack {
-			t.Errorf("%s takes %d ns/op, baseline %d (limit %dx): investigate or regenerate %s",
-				name, got.NsPerOp, b.NsPerOp, nsSlack, obsBaselinePath)
-		}
-		if got.AllocsPerOp > b.AllocsPerOp*allocsSlack {
-			t.Errorf("%s makes %d allocs/op, baseline %d (limit %dx): investigate or regenerate %s",
-				name, got.AllocsPerOp, b.AllocsPerOp, allocsSlack, obsBaselinePath)
-		}
-	}
-}
+func TestObsBenchGuard(t *testing.T) { obsGuard.run(t) }
