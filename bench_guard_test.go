@@ -323,9 +323,9 @@ var classifyGuard = opsGuard{
 	path: "BENCH_classify.json",
 	app:  guardApp,
 	ops: map[string]func(*testing.B){
-		"classify_vm":          func(b *testing.B) { benchClassify(b, trace.ClassifyOptions{VM: true}) },
+		"classify_vm":          func(b *testing.B) { benchClassify(b, trace.ClassifyOptions{VM: true, Workers: 1}) },
 		"classify_vm_parallel": func(b *testing.B) { benchClassify(b, trace.ClassifyOptions{VM: true, Workers: -1}) },
-		"classify_interp":      func(b *testing.B) { benchClassify(b, trace.ClassifyOptions{}) },
+		"classify_interp":      func(b *testing.B) { benchClassify(b, trace.ClassifyOptions{Workers: 1}) },
 	},
 	check: func(t *testing.T, cur sliceBenchBaseline) {
 		vm := cur.Ops["classify_vm"].NsPerOp

@@ -684,12 +684,12 @@ func benchClassify(b *testing.B, opt trace.ClassifyOptions) {
 // regexps per run, as MatchReport always has).
 func BenchmarkClassifyThroughput(b *testing.B) {
 	b.Run("vm", func(b *testing.B) {
-		benchClassify(b, trace.ClassifyOptions{VM: true})
+		benchClassify(b, trace.ClassifyOptions{VM: true, Workers: 1})
 	})
 	b.Run("vm_parallel", func(b *testing.B) {
 		benchClassify(b, trace.ClassifyOptions{VM: true, Workers: -1})
 	})
 	b.Run("interp", func(b *testing.B) {
-		benchClassify(b, trace.ClassifyOptions{})
+		benchClassify(b, trace.ClassifyOptions{Workers: 1})
 	})
 }

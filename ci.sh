@@ -4,9 +4,10 @@
 #   ./ci.sh          full gate (build + vet + race tests)
 #   ./ci.sh quick    race-disabled short tests only
 #
-# The race run matters: the sigbuild fan-out in core.Analyze, the parallel
-# per-app corpus mode in evaluate.RunAllParallel, and the obs shard/drain
-# protocol are all exercised concurrently by the test suite.
+# The race run matters: obs.Collector.Fan, the one worker pool behind the
+# slice and sigbuild fan-outs in core.Analyze, the per-app corpus mode in
+# evaluate.RunAllConfig and the chunked matcher in trace.Classify, and the
+# obs shard/drain protocol are all exercised concurrently by the test suite.
 set -eu
 cd "$(dirname "$0")"
 
@@ -29,6 +30,12 @@ go build ./...
 
 echo "== go vet"
 go vet ./...
+
+echo "== perfbench vet"
+# perfbench is a module of its own, so no ./... in this script compiles
+# it; vet it here so an API change in the packages it drives (core,
+# evaluate, trace, ...) cannot break the benchmark unnoticed.
+(cd perfbench && go vet ./...)
 
 echo "== fault injection under -race"
 # Robustness gate: injected panics and hangs in every pipeline phase must
@@ -83,7 +90,8 @@ echo "== differential harness under -race"
 # all five equivalence axes (same-seed regeneration, serial/parallel,
 # cold/warm cache, budgeted/unbudgeted, and the interpretive-vs-compiled
 # signature matcher over recorded and labeled traffic) must be
-# byte-identical. The deadline feeds the budgeted axis;
+# byte-identical. About 8 s of analysis under -race on a 2-vCPU host, the
+# matchvm axis the largest share. The deadline feeds the budgeted axis;
 # generous on purpose — a budget that trips under -race is itself a
 # mismatch.
 go run -race ./cmd/evaluate -gen 1729:100 -deadline 5m

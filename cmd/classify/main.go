@@ -21,7 +21,6 @@
 //
 //	-workers n   matcher fan-out (0 = one per CPU, 1 = serial); chunked
 //	             merging keeps the output identical at any width
-//	-interp      match with the interpretive oracle instead of the VM
 //	-check       run both backends, require byte-identical classifications,
 //	             and report both throughputs with the speedup
 //	-repeat n    stream the traffic n times (throughput measurement)
@@ -63,7 +62,6 @@ func main() {
 	flag.StringVar(&cfg.gen, "gen", "", "generate labeled traffic, as seed:N (e.g. 7:5000)")
 	flag.StringVar(&cfg.traceFile, "trace", "", "classify a recorded trace file (JSON lines)")
 	flag.IntVar(&cfg.workers, "workers", 0, "matcher fan-out (0 = one per CPU, 1 = serial)")
-	flag.BoolVar(&cfg.interp, "interp", false, "use the interpretive oracle instead of the compiled VM")
 	flag.BoolVar(&cfg.check, "check", false, "run both backends and require identical classifications")
 	flag.IntVar(&cfg.repeat, "repeat", 1, "stream the traffic this many times")
 	flag.BoolVar(&cfg.profile, "profile", false, "append the classification profile as JSON")
@@ -92,7 +90,6 @@ type config struct {
 	gen        string
 	traceFile  string
 	workers    int
-	interp     bool
 	check      bool
 	repeat     int
 	profile    bool
@@ -178,10 +175,10 @@ func run(cfg config) (err error) {
 			float64(inD)/float64(vmD))
 		res, elapsed = vmRes, vmD
 	} else {
-		res, elapsed = classify(!cfg.interp)
+		res, elapsed = classify(true)
 	}
 
-	printReport(rep, res, labeled, len(entries), elapsed, workers, cfg.interp && !cfg.check)
+	printReport(rep, res, labeled, len(entries), elapsed, workers)
 	if cfg.profile {
 		if err := printProfile(rep, col); err != nil {
 			return err
@@ -283,13 +280,9 @@ func loadTraffic(rep *core.Report, app *corpus.App, gen, traceFile string) ([]tr
 }
 
 func printReport(rep *core.Report, res *trace.ClassifyResult, labeled []trace.LabeledEntry,
-	total int, elapsed time.Duration, workers int, interp bool) {
-	backend := "vm"
-	if interp {
-		backend = "interp"
-	}
-	fmt.Printf("%s: %d signatures, %d entries (%d workers, %s backend)\n",
-		rep.Package, len(res.PerSig), total, workers, backend)
+	total int, elapsed time.Duration, workers int) {
+	fmt.Printf("%s: %d signatures, %d entries (%d workers, vm backend)\n",
+		rep.Package, len(res.PerSig), total, workers)
 	fmt.Printf("%-6s %-7s %6s %6s  %s\n", "Sig", "Method", "Hits", "Rate", "URI")
 	for _, s := range res.PerSig {
 		uri := ""

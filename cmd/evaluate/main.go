@@ -17,8 +17,9 @@
 //	                             shared report cache is in use, its
 //	                             contention gauges (lock-wait time,
 //	                             same-key races, install retries)
-//	evaluate -serial             analyze apps one at a time instead of in
-//	                             parallel
+//	evaluate -serial             fully serial: analyze apps one at a
+//	                             time, each with serial slice and
+//	                             sigbuild pools
 //	evaluate -deadline 30s       bound each app's analysis; apps that
 //	                             exceed it ship degraded reports with
 //	                             diagnostics, and apps that fail outright
@@ -72,7 +73,7 @@ func main() {
 	var cfg config
 	flag.StringVar(&cfg.only, "only", "", "single artifact to produce")
 	flag.BoolVar(&cfg.profile, "profile", false, "emit per-phase observability JSON")
-	flag.BoolVar(&cfg.serial, "serial", false, "disable per-app parallelism")
+	flag.BoolVar(&cfg.serial, "serial", false, "fully serial: one app at a time, serial pools inside each app")
 	flag.DurationVar(&cfg.deadline, "deadline", 0, "per-app analysis deadline (0 = unlimited)")
 	flag.StringVar(&cfg.traceFile, "trace", "", "write a corpus-wide Chrome trace-event JSON timeline to this file")
 	flag.StringVar(&cfg.cacheDir, "cache", "", "persistent report cache directory (empty = off)")

@@ -5,19 +5,16 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"sync"
 	"time"
 
 	"extractocol/internal/core"
 	"extractocol/internal/corpus"
-	"extractocol/internal/fuzz"
 	"extractocol/internal/obs"
 	"extractocol/internal/report"
-	"extractocol/internal/resultcache"
 	"extractocol/internal/trace"
 )
 
@@ -35,8 +32,6 @@ type DiffConfig struct {
 	// Seed and N select the generated corpus (corpus.Rand(Seed, N)).
 	Seed uint64
 	N    int
-	// Workers is the parallel axis fan-out width (0 means one per CPU).
-	Workers int
 	// BudgetDeadline is the per-app deadline of the budgeted axis. It must
 	// be generous: the axis asserts that merely enabling budget accounting
 	// changes nothing, so a tripped budget is a mismatch, not noise.
@@ -103,60 +98,21 @@ func CanonicalReport(rep *core.Report) ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// analyzeGen analyzes every generated app and returns canonical report
-// bytes in corpus order. mutate (optional) adjusts each app's options
-// before analysis; workers <= 1 forces the serial path.
-func analyzeGen(apps []*corpus.App, workers int, mutate func(*corpus.App, *core.Options) error) ([][]byte, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(apps) {
-		workers = len(apps)
-	}
+// analyzeGen analyzes every generated app under cfg, cfg.Workers apps at
+// a time, and returns canonical report bytes in corpus order.
+func analyzeGen(apps []*corpus.App, cfg RunConfig) ([][]byte, error) {
 	outs := make([][]byte, len(apps))
 	errs := make([]error, len(apps))
-	run := func(i int) {
-		app := apps[i]
-		opts := OptionsFor(app)
-		if mutate != nil {
-			if err := mutate(app, &opts); err != nil {
-				errs[i] = fmt.Errorf("%s: %w", app.Spec.Name, err)
-				return
-			}
+	var pool *obs.Collector
+	pool.Fan("", len(apps), cfg.Workers, false, func(i int, _ *obs.Shard) {
+		rep, _, err := analyzeApp(apps[i], cfg)
+		if err == nil {
+			outs[i], err = CanonicalReport(rep)
 		}
-		rep, err := core.Analyze(app.Prog, opts)
-		if err != nil {
-			errs[i] = fmt.Errorf("%s: %w", app.Spec.Name, err)
-			return
-		}
-		outs[i], errs[i] = CanonicalReport(rep)
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					run(i)
-				}
-			}()
-		}
-		for i := range apps {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		for i := range apps {
-			run(i)
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		errs[i] = err
+	})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 	return outs, nil
 }
@@ -209,21 +165,12 @@ func RunDifferential(cfg DiffConfig) (*DiffResult, error) {
 	}
 	apps := corpus.Rand(cfg.Seed, cfg.N)
 
-	// tel wraps an axis' option mutator so every analysis also carries the
-	// run's telemetry hooks (no-ops when cfg.Obs/cfg.Events are nil). A live
-	// -ops endpoint therefore sees the harness' collectors come and go.
-	tel := func(mutate func(*corpus.App, *core.Options) error) func(*corpus.App, *core.Options) error {
-		return func(app *corpus.App, opts *core.Options) error {
-			opts.Obs = cfg.Obs
-			opts.Events = cfg.Events
-			if mutate == nil {
-				return nil
-			}
-			return mutate(app, opts)
-		}
-	}
-
-	baseline, err := analyzeGen(apps, 1, tel(nil))
+	// base is the serial baseline configuration; every axis is a RunConfig
+	// derived from it, so every analysis also carries the run's telemetry
+	// hooks (no-ops when cfg.Obs/cfg.Events are nil). A live -ops endpoint
+	// therefore sees the harness' collectors come and go.
+	base := RunConfig{Workers: 1, Obs: cfg.Obs, Events: cfg.Events}
+	baseline, err := analyzeGen(apps, base)
 	if err != nil {
 		return nil, fmt.Errorf("differential baseline: %w", err)
 	}
@@ -251,7 +198,7 @@ func RunDifferential(cfg DiffConfig) (*DiffResult, error) {
 	// the generator shows up here before it can contaminate other axes.
 	err = axis("regen", "same-seed regeneration, serial re-analysis", func() ([]DiffMismatch, error) {
 		regen := corpus.Rand(cfg.Seed, cfg.N)
-		got, err := analyzeGen(regen, 1, tel(nil))
+		got, err := analyzeGen(regen, base)
 		if err != nil {
 			return nil, err
 		}
@@ -261,9 +208,12 @@ func RunDifferential(cfg DiffConfig) (*DiffResult, error) {
 		return nil, err
 	}
 
-	// Axis 2: serial vs parallel fan-out.
+	// Axis 2: serial vs parallel fan-out (one worker per CPU), across apps
+	// and inside each app's slice and sigbuild pools.
 	err = axis("parallel", "worker fan-out vs serial baseline", func() ([]DiffMismatch, error) {
-		got, err := analyzeGen(apps, cfg.Workers, tel(nil))
+		par := base
+		par.Workers = 0
+		got, err := analyzeGen(apps, par)
 		if err != nil {
 			return nil, err
 		}
@@ -281,25 +231,14 @@ func RunDifferential(cfg DiffConfig) (*DiffResult, error) {
 			return nil, err
 		}
 		defer os.RemoveAll(dir)
-		cache, err := resultcache.Open(dir)
-		if err != nil {
-			return nil, err
-		}
-		withCache := func(app *corpus.App, opts *core.Options) error {
-			key, err := resultcache.KeyForProgram(app.Prog, *opts)
-			if err != nil {
-				return err
-			}
-			opts.Cache = cache
-			opts.CacheKey = key
-			return nil
-		}
-		cold, err := analyzeGen(apps, 1, tel(withCache))
+		cached := base
+		cached.CacheDir = dir
+		cold, err := analyzeGen(apps, cached)
 		if err != nil {
 			return nil, err
 		}
 		mm := compareAxis(apps, baseline, cold, "cold: ")
-		warm, err := analyzeGen(apps, 1, tel(withCache))
+		warm, err := analyzeGen(apps, cached)
 		if err != nil {
 			return nil, err
 		}
@@ -313,12 +252,11 @@ func RunDifferential(cfg DiffConfig) (*DiffResult, error) {
 	// enabling the accounting machinery must not change a single byte, and
 	// a tripped budget surfaces as report diagnostics — a mismatch.
 	err = axis("budget", "generous budgets vs unbudgeted baseline", func() ([]DiffMismatch, error) {
-		got, err := analyzeGen(apps, 1, tel(func(_ *corpus.App, opts *core.Options) error {
-			opts.Deadline = cfg.BudgetDeadline
-			opts.MaxSliceSteps = 1 << 40
-			opts.MaxFixpointIters = 1 << 40
-			return nil
-		}))
+		budgeted := base
+		budgeted.Deadline = cfg.BudgetDeadline
+		budgeted.MaxSliceSteps = 1 << 40
+		budgeted.MaxFixpointIters = 1 << 40
+		got, err := analyzeGen(apps, budgeted)
 		if err != nil {
 			return nil, err
 		}
@@ -331,30 +269,23 @@ func RunDifferential(cfg DiffConfig) (*DiffResult, error) {
 	// Axis 5: interpretive signature matcher vs compiled sigvm bytecode.
 	// Every app's signatures classify two traffic sources — the recorded
 	// trace of a manual fuzz session and seeded labeled entries from
-	// trace.RandEntries — through both backends (the VM under parallel
-	// fan-out); the full classifications must be byte-identical, and the
-	// interpretive verdicts must reproduce the regex-derived labels exactly.
+	// trace.RandEntries — through both backends (the oracle serially, the
+	// VM under parallel fan-out); the full classifications must be
+	// byte-identical, and the interpretive verdicts must reproduce the
+	// regex-derived labels exactly.
 	err = axis("matchvm", "interpretive matcher vs compiled sigvm bytecode", func() ([]DiffMismatch, error) {
 		var out []DiffMismatch
 		for i, app := range apps {
-			aopts := OptionsFor(app)
-			aopts.Obs = cfg.Obs
-			aopts.Events = cfg.Events
-			rep, err := core.Analyze(app.Prog, aopts)
+			r, err := RunAppConfig(app, base)
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", app.Spec.Name, err)
+				return nil, err
 			}
-			n := app.NewNetwork()
-			if _, err := fuzz.Run(app.Prog, n, fuzz.Manual); err != nil {
-				return nil, fmt.Errorf("%s: %w", app.Spec.Name, err)
-			}
-			entries := trace.FromNetwork(n.Trace())
-			recorded := len(entries)
-			labeled := trace.RandEntries(cfg.Seed+uint64(i), rep, 50)
-			entries = append(entries, trace.Entries(labeled)...)
+			recorded := len(r.Manual)
+			labeled := trace.RandEntries(cfg.Seed+uint64(i), r.Report, 50)
+			entries := append(r.Manual, trace.Entries(labeled)...)
 
-			interp := trace.Classify(rep, entries, trace.ClassifyOptions{})
-			vm := trace.Classify(rep, entries, trace.ClassifyOptions{VM: true, Workers: -1})
+			interp := trace.Classify(r.Report, entries, trace.ClassifyOptions{Workers: 1})
+			vm := trace.Classify(r.Report, entries, trace.ClassifyOptions{VM: true})
 			ji, err := json.Marshal(interp)
 			if err != nil {
 				return nil, err

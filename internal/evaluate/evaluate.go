@@ -8,11 +8,10 @@
 package evaluate
 
 import (
+	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"extractocol/internal/budget"
@@ -51,10 +50,14 @@ type AppResult struct {
 	Tracer *obs.Tracer
 }
 
-// RunConfig parameterizes a corpus evaluation: worker count plus the
-// robustness budgets threaded into every app's core.Options.
+// RunConfig configures one app's run — and, for RunAllConfig, every
+// app's in a corpus evaluation: worker count, the robustness budgets,
+// the report cache and the telemetry hooks threaded into every app's
+// core.Options.
 type RunConfig struct {
-	// Workers is the fan-out width (0 means one per CPU, 1 forces serial).
+	// Workers is how many apps a corpus run analyzes at once (0 means one
+	// per CPU). 1 is fully serial: one app at a time, and each app's slice
+	// and sigbuild pools run serially too.
 	Workers int
 	// Deadline bounds each app's analysis wall time (0 means unlimited).
 	Deadline time.Duration
@@ -81,14 +84,13 @@ type RunConfig struct {
 	Flight bool
 }
 
-// RunApp analyzes one app and runs both fuzzing baselines.
-func RunApp(app *corpus.App) (*AppResult, error) {
-	return RunAppConfig(app, RunConfig{})
-}
-
-// RunAppConfig is RunApp with the config's budgets applied.
-func RunAppConfig(app *corpus.App, cfg RunConfig) (*AppResult, error) {
+// options maps the config onto one app's analysis options, on top of
+// the paper's configuration (OptionsFor).
+func (cfg RunConfig) options(app *corpus.App) (core.Options, error) {
 	opts := OptionsFor(app)
+	if cfg.Workers == 1 {
+		opts.Workers = 1
+	}
 	opts.Deadline = cfg.Deadline
 	opts.MaxSliceSteps = cfg.MaxSliceSteps
 	opts.MaxFixpointIters = cfg.MaxFixpointIters
@@ -102,20 +104,41 @@ func RunAppConfig(app *corpus.App, cfg RunConfig) (*AppResult, error) {
 	if cfg.CacheDir != "" {
 		cache, err := resultcache.Open(cfg.CacheDir)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", app.Spec.Name, err)
+			return opts, err
 		}
 		key, err := resultcache.KeyForProgram(app.Prog, opts)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", app.Spec.Name, err)
+			return opts, err
 		}
 		opts.Cache = cache
 		opts.CacheKey = key
 	}
+	return opts, nil
+}
+
+// analyzeApp analyzes one app under the config and returns its report,
+// plus its span timeline when cfg.Trace is set. RunAppConfig and the
+// differential harness both analyze through it.
+func analyzeApp(app *corpus.App, cfg RunConfig) (*core.Report, *obs.Tracer, error) {
+	opts, err := cfg.options(app)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", app.Spec.Name, err)
+	}
 	rep, err := core.Analyze(app.Prog, opts)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", app.Spec.Name, err)
+		return nil, nil, fmt.Errorf("%s: %w", app.Spec.Name, err)
 	}
-	res := &AppResult{App: app, Report: rep, Tracer: opts.Tracer}
+	return rep, opts.Tracer, nil
+}
+
+// RunAppConfig analyzes one app under the config and runs both fuzzing
+// baselines.
+func RunAppConfig(app *corpus.App, cfg RunConfig) (*AppResult, error) {
+	rep, tr, err := analyzeApp(app, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res := &AppResult{App: app, Report: rep, Tracer: tr}
 
 	mn := app.NewNetwork()
 	if _, err := fuzz.Run(app.Prog, mn, fuzz.Manual); err != nil {
@@ -133,10 +156,13 @@ func RunAppConfig(app *corpus.App, cfg RunConfig) (*AppResult, error) {
 
 // RunAll evaluates the whole corpus. Apps are analyzed in parallel (one
 // worker per CPU); results keep corpus order, so output is byte-identical
-// to a serial run.
+// to a serial run. Any failed app fails the evaluation.
 func RunAll() ([]*AppResult, error) {
-	out, _, err := RunAllParallel(0)
-	return out, err
+	results, errs, _ := runAll(RunConfig{})
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	return results, nil
 }
 
 // ParallelStats describes one parallel corpus evaluation: the wall-clock
@@ -167,20 +193,6 @@ type AppError struct {
 	Err string `json:"error"`
 }
 
-// RunAllParallel evaluates the whole corpus with the given number of
-// workers (0 means one per CPU, 1 forces the serial path). Results keep
-// corpus order regardless of completion order. The first app error aborts
-// the evaluation.
-func RunAllParallel(workers int) ([]*AppResult, *ParallelStats, error) {
-	results, errs, stats := runAll(RunConfig{Workers: workers})
-	for _, err := range errs {
-		if err != nil {
-			return nil, stats, err
-		}
-	}
-	return results, stats, nil
-}
-
 // RunAllConfig evaluates the whole corpus under the config's budgets and
 // aggregates per-app failures instead of aborting on the first one: failed
 // apps are compacted out of the result slice and recorded in
@@ -206,42 +218,19 @@ func RunAllConfig(cfg RunConfig) ([]*AppResult, *ParallelStats, error) {
 	return ok, stats, nil
 }
 
-// runAll is the shared fan-out: positional results and errors in corpus
-// order, regardless of completion order.
+// runAll is the shared corpus fan-out on obs.Collector.Fan: positional
+// results and errors in corpus order, regardless of completion order. The
+// corpus pool records no telemetry of its own (a nil collector); every
+// app's analysis records into its own collector.
 func runAll(cfg RunConfig) ([]*AppResult, []error, *ParallelStats) {
 	apps := corpus.Apps()
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(apps) {
-		workers = len(apps)
-	}
 	start := time.Now()
 	results := make([]*AppResult, len(apps))
 	errs := make([]error, len(apps))
-	if workers > 1 {
-		var wg sync.WaitGroup
-		jobs := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					results[i], errs[i] = RunAppConfig(apps[i], cfg)
-				}
-			}()
-		}
-		for i := range apps {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		for i := range apps {
-			results[i], errs[i] = RunAppConfig(apps[i], cfg)
-		}
-	}
+	var pool *obs.Collector
+	workers := pool.Fan("", len(apps), cfg.Workers, false, func(i int, _ *obs.Shard) {
+		results[i], errs[i] = RunAppConfig(apps[i], cfg)
+	})
 
 	stats := &ParallelStats{Workers: workers, WallNS: time.Since(start).Nanoseconds(), AppsRun: len(apps)}
 	for _, err := range errs {

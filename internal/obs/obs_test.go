@@ -248,23 +248,32 @@ func TestSpanTracks(t *testing.T) {
 
 func TestFan(t *testing.T) {
 	for _, tc := range []struct {
-		name            string
-		n, workers      int
-		serial          bool
-		wantWorkers     float64
-		wantGaugesUnset bool
+		name        string
+		nilCol      bool
+		cat         string
+		n, workers  int
+		serial      bool
+		wantWorkers int
 	}{
-		{name: "parallel", n: 50, workers: 4, wantWorkers: 4},
-		{name: "clamped to jobs", n: 2, workers: 8, wantWorkers: 2},
-		{name: "serial", n: 20, workers: 4, serial: true, wantWorkers: 1},
-		{name: "no jobs", n: 0, workers: 4, wantGaugesUnset: true},
+		{name: "parallel", cat: CatSigbuildJob, n: 50, workers: 4, wantWorkers: 4},
+		{name: "clamped to jobs", cat: CatSigbuildJob, n: 2, workers: 8, wantWorkers: 2},
+		{name: "serial", cat: CatSigbuildJob, n: 20, workers: 4, serial: true, wantWorkers: 1},
+		{name: "no jobs", cat: CatSigbuildJob, n: 0, workers: 4},
+		{name: "nil collector", nilCol: true, cat: CatSliceJob, n: 3, workers: 2, wantWorkers: 2},
+		{name: "category without gauges", cat: CatClassifyEntry, n: 10, workers: 3, wantWorkers: 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c := NewCollector()
+			var c *Collector
+			if !tc.nilCol {
+				c = NewCollector()
+			}
 			ran := make([]int, tc.n)
 			last := -1
-			c.Fan(CatSigbuildJob, tc.n, tc.workers, tc.serial, func(i int, s *Shard) {
-				sp := s.Span(CatSigbuildJob, "job")
+			got := c.Fan(tc.cat, tc.n, tc.workers, tc.serial, func(i int, s *Shard) {
+				if tc.nilCol && s != nil {
+					t.Errorf("job %d got a shard from a nil collector", i)
+				}
+				sp := s.Span(tc.cat, "job")
 				defer sp.End()
 				ran[i]++
 				if tc.serial {
@@ -274,43 +283,39 @@ func TestFan(t *testing.T) {
 					last = i
 				}
 			})
+			if got != tc.wantWorkers {
+				t.Errorf("Fan ran %d workers, want %d", got, tc.wantWorkers)
+			}
 			for i, n := range ran {
 				if n != 1 {
 					t.Errorf("job %d ran %d times", i, n)
 				}
 			}
-			p := c.Snapshot()
-			if got := p.Counter(CtrSigbuildJobs); got != int64(tc.n) {
-				t.Errorf("sigbuild_jobs = %d, want %d", got, tc.n)
+			if tc.nilCol {
+				return
 			}
-			w, ok := p.Gauges[GaugeSigbuildWorkers]
-			if tc.wantGaugesUnset {
-				if ok {
-					t.Errorf("empty pool set %s = %v", GaugeSigbuildWorkers, w)
+			p := c.Snapshot()
+			k := kindOf(tc.cat)
+			if tc.n > 0 {
+				if h := p.Hist(k.hist); h == nil || h.Count != int64(tc.n) {
+					t.Errorf("%s histogram = %+v, want %d observations", k.hist, h, tc.n)
+				}
+			}
+			if k.workers == "" || tc.n == 0 {
+				if len(p.Gauges) != 0 {
+					t.Errorf("pool set gauges %v, want none", p.Gauges)
 				}
 				return
 			}
-			if w != tc.wantWorkers {
-				t.Errorf("%s = %v, want %v", GaugeSigbuildWorkers, w, tc.wantWorkers)
+			if got := p.Counter(k.jobs); got != int64(tc.n) {
+				t.Errorf("%s = %d, want %d", k.jobs, got, tc.n)
 			}
-			if u := p.Gauges[GaugeSigbuildUtilization]; u < 0 || u > 1 {
-				t.Errorf("%s = %v, want within [0, 1]", GaugeSigbuildUtilization, u)
+			if w := p.Gauges[k.workers]; w != float64(tc.wantWorkers) {
+				t.Errorf("%s = %v, want %v", k.workers, w, tc.wantWorkers)
+			}
+			if u := p.Gauges[k.util]; u < 0 || u > 1 {
+				t.Errorf("%s = %v, want within [0, 1]", k.util, u)
 			}
 		})
-	}
-
-	// A nil collector still runs every job, on nil shards.
-	var c *Collector
-	ran := make([]bool, 3)
-	c.Fan(CatSliceJob, len(ran), 2, false, func(i int, s *Shard) {
-		if s != nil {
-			t.Errorf("job %d got a shard from a nil collector", i)
-		}
-		ran[i] = true
-	})
-	for i, ok := range ran {
-		if !ok {
-			t.Errorf("nil collector skipped job %d", i)
-		}
 	}
 }

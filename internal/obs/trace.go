@@ -39,6 +39,9 @@ const (
 	// runs, nested inside the job spans that started them.
 	CatTaintBackward = "taint:backward"
 	CatTaintForward  = "taint:forward"
+	// CatClassifyEntry is one traffic entry through the signature matcher
+	// (see trace.Classify).
+	CatClassifyEntry = "classify"
 )
 
 // GaugeHeapAllocAfter prefixes the per-phase heap gauges recorded when a
@@ -61,7 +64,7 @@ type Span struct {
 // feeds besides the tracer and flight ring. startEv/endEv are lifecycle
 // events (phase events carry the span name as Phase); phase feeds the
 // collector's phase total, its phase_<name> histogram and, when traced,
-// the heap gauge; jobs, busy and hist count the job, its busy time and its
+// the heap gauge; jobs and busy count the job and its busy time, hist its
 // latency; workers and util name the gauges Collector.Fan sets.
 type spanKind struct {
 	cat, startEv, endEv             string
@@ -78,6 +81,7 @@ var spanKinds = [...]spanKind{
 		workers: GaugeSliceWorkers, util: GaugeSliceUtilization},
 	{cat: CatSigbuildJob, jobs: CtrSigbuildJobs, busy: CtrSigbuildBusyNS, hist: HistSigbuildJob,
 		workers: GaugeSigbuildWorkers, util: GaugeSigbuildUtilization},
+	{cat: CatClassifyEntry, hist: HistClassifyEntry},
 }
 
 // kindOf returns the table row of cat, nil when it has none.
@@ -168,6 +172,8 @@ func (a ActiveSpan) End() {
 	if k.jobs != "" {
 		s.counts[k.jobs]++
 		s.counts[k.busy] += ns
+	}
+	if k.hist != "" {
 		s.Observe(k.hist, ns)
 	}
 	k.emit(s, k.endEv, a.name, ns)

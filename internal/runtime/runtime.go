@@ -70,7 +70,15 @@ type VM struct {
 
 	steps    int
 	maxSteps int
+	depth    int
 }
+
+// maxCallDepth bounds the interpreter's call stack, its analogue of
+// Dalvik's StackOverflowError: unbounded recursion (a long-poll handler
+// that re-arms itself) fails the entry point after this many frames
+// instead of running the step budget down one exchange per frame.
+// Non-recursive apps stay a few frames deep.
+const maxCallDepth = 300
 
 // New creates a VM for the program bound to a network.
 func New(p *ir.Program, net *httpsim.Network) *VM {
@@ -124,6 +132,11 @@ func (vm *VM) call(m *ir.Method, args []value) (value, error) {
 	if len(m.Instrs) == 0 {
 		return nil, nil
 	}
+	if vm.depth >= maxCallDepth {
+		return nil, fmt.Errorf("runtime: call depth %d exhausted in %s", maxCallDepth, m.Ref())
+	}
+	vm.depth++
+	defer func() { vm.depth-- }()
 	regs := make([]value, m.Registers)
 	copy(regs, args)
 	pc := 0

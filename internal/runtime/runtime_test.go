@@ -366,3 +366,38 @@ func TestLoopBudgetGuard(t *testing.T) {
 		t.Fatal("expected step-budget error")
 	}
 }
+
+// TestRecursionDepthGuard pins the call-depth bound: a handler that sends
+// one request and then re-invokes itself unconditionally must fail its
+// entry point with an error, long before the step budget, and record one
+// exchange per frame up to the bound.
+func TestRecursionDepthGuard(t *testing.T) {
+	p := ir.NewProgram("t.poll")
+	c := p.AddClass(&ir.Class{Name: "t.poll.P"})
+	b := ir.NewMethod(c, "poll", false, nil, "void")
+	uri := b.ConstStr("https://api.test.com/items?id=1")
+	req := b.New("org.apache.http.client.methods.HttpGet")
+	b.InvokeSpecial(getInit, req, uri)
+	cl := b.New("org.apache.http.impl.client.DefaultHttpClient")
+	b.InvokeSpecial(clInit, cl)
+	b.Invoke(execRef, cl, req)
+	b.InvokeVoid("t.poll.P.poll", b.This())
+	b.ReturnVoid()
+	b.Done()
+	if err := p.Validate(); err != nil {
+		t.Fatalf("invalid program: %v", err)
+	}
+
+	net := testNet()
+	vm := New(p, net)
+	err := vm.Fire(ir.EntryPoint{Method: "t.poll.P.poll", Kind: ir.EventClick})
+	if err == nil || !strings.Contains(err.Error(), "call depth") {
+		t.Fatalf("Fire = %v, want a call-depth error", err)
+	}
+	if got := len(net.Trace()); got != maxCallDepth {
+		t.Fatalf("recorded %d exchanges, want one per frame up to %d", got, maxCallDepth)
+	}
+	if vm.depth != 0 {
+		t.Fatalf("depth %d after the entry point unwound", vm.depth)
+	}
+}

@@ -18,7 +18,7 @@
 // A Bundle is immutable after Compile and shared read-only across any
 // number of matcher goroutines; all mutable run state (Pike thread lists,
 // visited marks) lives in per-worker Matcher values. The interpretive
-// matcher stays the equivalence oracle: trace.MatchOptions selects the
+// matcher stays the equivalence oracle: trace.ClassifyOptions selects the
 // backend, the matchvm differential axis in internal/evaluate compares the
 // two over generated corpora, and FuzzSigVM compares them per primitive.
 package sigvm

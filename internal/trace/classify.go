@@ -2,31 +2,30 @@ package trace
 
 import (
 	"runtime"
-	"sync"
 
 	"extractocol/internal/core"
 	"extractocol/internal/obs"
 	"extractocol/internal/sigvm"
 )
 
-// ClassifyOptions configures Classify: backend selection (as in
-// MatchOptions) plus the worker fan-out.
+// ClassifyOptions configures Classify: backend selection plus the worker
+// fan-out.
 type ClassifyOptions struct {
 	// VM matches with the compiled sigvm backend; false is the
 	// interpretive oracle.
 	VM bool
-	// Bundle optionally reuses a compiled bundle (VM only); nil compiles
-	// one from the report.
+	// Bundle optionally reuses a compiled bundle (VM only; it must have
+	// been compiled from the same report); nil compiles one from the
+	// report.
 	Bundle *sigvm.Bundle
-	// Workers is the matcher fan-out; 0 or 1 runs serially, <0 uses
-	// GOMAXPROCS. The result is byte-identical at any width: entries are
-	// split into contiguous chunks and partial results merge in chunk
-	// order.
+	// Workers is the matcher fan-out: 0 means GOMAXPROCS, 1 runs serially.
+	// The result is byte-identical at any width: entries are split into
+	// contiguous chunks and partial results merge in chunk order.
 	Workers int
 	// Col, when non-nil, receives per-entry classification latencies
-	// (obs.HistClassifyEntry) through per-worker shards — the telemetry
-	// hook for cmd/classify's -profile/-ops flags. Nil skips all clock
-	// reads.
+	// (obs.HistClassifyEntry, one obs.CatClassifyEntry span per entry)
+	// through per-worker shards — the telemetry hook for cmd/classify's
+	// -profile/-ops flags. Nil skips all clock reads.
 	Col *obs.Collector
 }
 
@@ -51,26 +50,35 @@ type ClassifyResult struct {
 	Verdicts []int
 }
 
+// chunkTally is one chunk's share of a classification.
+type chunkTally struct {
+	res     MatchResult
+	matched map[int]bool
+	failed  map[int]bool
+	hits    map[int]int
+}
+
 // Classify streams entries through the selected matcher backend and
 // returns the full classification: MatchReport's aggregate, per-entry
-// verdicts, and per-signature hit tallies. With Workers > 1 the entries
-// are fanned out over contiguous chunks — the compiled bundle is shared
-// read-only, each worker owns a Matcher — and the merged result is
-// byte-identical to a serial run.
+// verdicts, and per-signature hit tallies. The entries are fanned out
+// over contiguous chunks on Collector.Fan — the compiled bundle is shared
+// read-only, each chunk owns a Matcher — and the chunks merge in order,
+// so the result is byte-identical at any width.
 func Classify(rep *core.Report, entries []Entry, opt ClassifyOptions) *ClassifyResult {
 	workers := opt.Workers
-	if workers < 0 {
+	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 0 {
-		workers = 1
-	}
-	if workers > len(entries) {
-		workers = max(1, len(entries))
+	chunk := (len(entries) + workers - 1) / workers
+	chunks := 0
+	if chunk > 0 {
+		chunks = (len(entries) + chunk - 1) / chunk
 	}
 
 	// One bundle compilation (or regex compilation, for the oracle) shared
-	// by every worker; only Matcher scratch is per-worker.
+	// by every chunk; only Matcher scratch is per-chunk. The interpretive
+	// backend is stateless per entry (compiled regexps are safe for
+	// concurrent use), so chunks share it.
 	var bundle *sigvm.Bundle
 	var interp *interpBackend
 	if opt.VM {
@@ -81,89 +89,50 @@ func Classify(rep *core.Report, entries []Entry, opt ClassifyOptions) *ClassifyR
 	} else {
 		interp = newInterpBackend(rep)
 	}
-	backend := func() sigBackend {
-		if opt.VM {
-			return &vmBackend{b: bundle, m: bundle.NewMatcher()}
-		}
-		// The interpretive backend is stateless per entry (compiled
-		// regexps are safe for concurrent use), so workers share it.
-		return interp
-	}
 
 	res := &ClassifyResult{Verdicts: make([]int, len(entries))}
+	parts := make([]chunkTally, chunks)
+	opt.Col.Fan(obs.CatClassifyEntry, chunks, chunks, false, func(w int, stats *obs.Shard) {
+		lo := w * chunk
+		hi := min(lo+chunk, len(entries))
+		var b sigBackend = interp
+		if opt.VM {
+			b = &vmBackend{b: bundle, m: bundle.NewMatcher()}
+		}
+		p := &parts[w]
+		p.matched, p.failed, p.hits = map[int]bool{}, map[int]bool{}, map[int]int{}
+		matchChunk(b, entries[lo:hi], p, res.Verdicts[lo:hi], stats)
+	})
+
+	// Merge in chunk order: counters and byte stats are commutative sums,
+	// Unmatched concatenates back into entry order.
 	sigMatched := map[int]bool{}
 	sigFailed := map[int]bool{}
 	hits := map[int]int{}
-
-	// Latency shards: one per worker, nil (free) when no collector is
-	// threaded through.
-	newStats := func() *obs.Shard {
-		if opt.Col == nil {
-			return nil
+	for w := range parts {
+		p := &parts[w]
+		res.TraceEntries += p.res.TraceEntries
+		res.MatchedEntries += p.res.MatchedEntries
+		res.Unmatched = append(res.Unmatched, p.res.Unmatched...)
+		res.URIStats.Add(p.res.URIStats)
+		res.ReqStats.Add(p.res.ReqStats)
+		res.RespStats.Add(p.res.RespStats)
+		for id := range p.matched {
+			sigMatched[id] = true
 		}
-		return opt.Col.NewShard()
-	}
-
-	if workers == 1 {
-		stats := newStats()
-		matchChunk(backend(), entries, &res.MatchResult, sigMatched, sigFailed, hits, res.Verdicts, stats)
-		opt.Col.Drain(stats)
-	} else {
-		type partial struct {
-			res     MatchResult
-			matched map[int]bool
-			failed  map[int]bool
-			hits    map[int]int
+		for id := range p.failed {
+			sigFailed[id] = true
 		}
-		parts := make([]partial, workers)
-		shards := make([]*obs.Shard, workers)
-		chunk := (len(entries) + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := min(lo+chunk, len(entries))
-			if lo >= hi {
-				continue
-			}
-			shards[w] = newStats()
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				p := &parts[w]
-				p.matched = map[int]bool{}
-				p.failed = map[int]bool{}
-				p.hits = map[int]int{}
-				matchChunk(backend(), entries[lo:hi], &p.res, p.matched, p.failed, p.hits, res.Verdicts[lo:hi], shards[w])
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		for _, s := range shards {
-			if s != nil {
-				opt.Col.Drain(s)
-			}
-		}
-		// Merge in chunk order: counters and byte stats are commutative
-		// sums, Unmatched concatenates back into entry order.
-		for w := range parts {
-			p := &parts[w]
-			res.TraceEntries += p.res.TraceEntries
-			res.MatchedEntries += p.res.MatchedEntries
-			res.Unmatched = append(res.Unmatched, p.res.Unmatched...)
-			res.URIStats.Add(p.res.URIStats)
-			res.ReqStats.Add(p.res.ReqStats)
-			res.RespStats.Add(p.res.RespStats)
-			for id := range p.matched {
-				sigMatched[id] = true
-			}
-			for id := range p.failed {
-				sigFailed[id] = true
-			}
-			for id, n := range p.hits {
-				hits[id] += n
-			}
+		for id, n := range p.hits {
+			hits[id] += n
 		}
 	}
-	finishSigCounts(&res.MatchResult, sigMatched, sigFailed)
+	res.SigsWithTraffic = len(sigMatched)
+	for id := range sigMatched {
+		if !sigFailed[id] {
+			res.SigsValid++
+		}
+	}
 
 	for _, tx := range rep.Transactions {
 		res.PerSig = append(res.PerSig, SigHits{

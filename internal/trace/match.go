@@ -2,7 +2,6 @@ package trace
 
 import (
 	"regexp"
-	"time"
 
 	"extractocol/internal/core"
 	"extractocol/internal/obs"
@@ -32,20 +31,6 @@ type MatchResult struct {
 	RespStats siglang.ByteStats
 }
 
-// MatchOptions selects the matcher backend behind MatchReport. The zero
-// value is the interpretive matcher — the equivalence oracle, kept exactly
-// as shipped. VM switches to the compiled matcher (internal/sigvm); the two
-// are held byte-identical by the matchvm differential axis in
-// internal/evaluate and by FuzzSigVM.
-type MatchOptions struct {
-	// VM matches with the compiled sigvm backend instead of the
-	// interpretive one.
-	VM bool
-	// Bundle optionally reuses an already-compiled bundle (it must have
-	// been compiled from the same report). Nil compiles one on demand.
-	Bundle *sigvm.Bundle
-}
-
 // sigBackend is what the shared verdict-aggregation loop needs from a
 // matcher: per-signature identity (transaction ID, method, specificity)
 // and the four matching primitives. Both backends implement it, so
@@ -64,50 +49,24 @@ type sigBackend interface {
 }
 
 // MatchReport validates an analysis report against a traffic trace with
-// the interpretive matcher.
+// the interpretive matcher: Classify's aggregate.
 func MatchReport(rep *core.Report, entries []Entry) *MatchResult {
-	return MatchReportOpts(rep, entries, MatchOptions{})
-}
-
-// MatchReportOpts validates an analysis report against a traffic trace
-// with the backend selected by opt.
-func MatchReportOpts(rep *core.Report, entries []Entry, opt MatchOptions) *MatchResult {
-	b := newBackend(rep, opt)
-	res := &MatchResult{}
-	sigMatched := map[int]bool{}
-	sigFailed := map[int]bool{}
-	matchChunk(b, entries, res, sigMatched, sigFailed, nil, nil, nil)
-	finishSigCounts(res, sigMatched, sigFailed)
-	return res
-}
-
-func newBackend(rep *core.Report, opt MatchOptions) sigBackend {
-	if opt.VM {
-		bundle := opt.Bundle
-		if bundle == nil {
-			bundle = sigvm.Compile(rep)
-		}
-		return &vmBackend{m: bundle.NewMatcher(), b: bundle}
-	}
-	return newInterpBackend(rep)
+	return &Classify(rep, entries, ClassifyOptions{}).MatchResult
 }
 
 // matchChunk runs the shared verdict loop over a slice of entries,
-// accumulating into res and the per-signature maps. When hits/verdicts are
-// non-nil it also counts per-signature hits (keyed by transaction ID) and
-// records each entry's best-match transaction ID (0 = entry skipped or
-// unmatched), for Classify. A non-nil stats shard additionally records the
-// per-entry classification latency (obs.HistClassifyEntry); nil skips the
-// clock reads entirely, so the default match path is unchanged.
-func matchChunk(b sigBackend, entries []Entry, res *MatchResult, sigMatched, sigFailed map[int]bool, hits map[int]int, verdicts []int, stats *obs.Shard) {
-	var t0 time.Time
+// accumulating into the chunk's tally: the aggregate, the per-signature
+// validity sets and hit counts (keyed by transaction ID), and each
+// entry's best-match transaction ID in verdicts (0 = entry skipped or
+// unmatched). Each considered entry is one obs.CatClassifyEntry span on
+// stats; a nil shard skips the clock reads entirely.
+func matchChunk(b sigBackend, entries []Entry, t *chunkTally, verdicts []int, stats *obs.Shard) {
+	res := &t.res
 	for ei, e := range entries {
 		if e.Status >= 400 {
 			continue
 		}
-		if stats != nil {
-			t0 = time.Now()
-		}
+		sp := stats.Span(obs.CatClassifyEntry, "entry")
 		res.TraceEntries++
 		best := -1
 		for i := 0; i < b.NumSigs(); i++ {
@@ -124,52 +83,25 @@ func matchChunk(b sigBackend, entries []Entry, res *MatchResult, sigMatched, sig
 		}
 		if best < 0 {
 			res.Unmatched = append(res.Unmatched, e.RouteID)
-			if stats != nil {
-				stats.Observe(obs.HistClassifyEntry, time.Since(t0).Nanoseconds())
-			}
+			sp.End()
 			continue
 		}
+		id := b.TxID(best)
 		res.MatchedEntries++
-		sigMatched[b.TxID(best)] = true
-		if hits != nil {
-			hits[b.TxID(best)]++
-		}
-		if verdicts != nil {
-			verdicts[ei] = b.TxID(best)
-		}
-		ok := true
-
+		t.matched[id] = true
+		t.hits[id]++
+		verdicts[ei] = id
 		if st := b.URIStats(best, e.URL); st.Total() > 0 {
 			res.URIStats.Add(st)
 		}
-		if bodyOK, st := b.MatchRequestBody(best, e.ReqBody); !bodyOK {
-			ok = false
-			res.ReqStats.Add(st)
-		} else {
-			res.ReqStats.Add(st)
+		bodyOK, st := b.MatchRequestBody(best, e.ReqBody)
+		res.ReqStats.Add(st)
+		respOK, st := b.MatchResponseBody(best, e.RespType, e.RespBody)
+		res.RespStats.Add(st)
+		if !bodyOK || !respOK {
+			t.failed[id] = true
 		}
-		if respOK, st := b.MatchResponseBody(best, e.RespType, e.RespBody); !respOK {
-			ok = false
-			res.RespStats.Add(st)
-		} else {
-			res.RespStats.Add(st)
-		}
-		if !ok {
-			sigFailed[b.TxID(best)] = true
-		}
-		if stats != nil {
-			stats.Observe(obs.HistClassifyEntry, time.Since(t0).Nanoseconds())
-		}
-	}
-}
-
-// finishSigCounts derives the signature-level tallies from the per-ID maps.
-func finishSigCounts(res *MatchResult, sigMatched, sigFailed map[int]bool) {
-	res.SigsWithTraffic = len(sigMatched)
-	for id := range sigMatched {
-		if !sigFailed[id] {
-			res.SigsValid++
-		}
+		sp.End()
 	}
 }
 

@@ -12,18 +12,24 @@ import (
 	"reflect"
 	"testing"
 
+	"extractocol/internal/core"
 	"extractocol/internal/siglang"
 )
 
 // bothBackends runs a subtest against the interpretive and VM matchers.
-func bothBackends(t *testing.T, f func(t *testing.T, opt MatchOptions)) {
-	t.Run("interp", func(t *testing.T) { f(t, MatchOptions{}) })
-	t.Run("vm", func(t *testing.T) { f(t, MatchOptions{VM: true}) })
+func bothBackends(t *testing.T, f func(t *testing.T, opt ClassifyOptions)) {
+	t.Run("interp", func(t *testing.T) { f(t, ClassifyOptions{}) })
+	t.Run("vm", func(t *testing.T) { f(t, ClassifyOptions{VM: true}) })
+}
+
+// matchWith is MatchReport through the backend opt selects.
+func matchWith(rep *core.Report, entries []Entry, opt ClassifyOptions) *MatchResult {
+	return &Classify(rep, entries, opt).MatchResult
 }
 
 func TestPropMatchedPlusUnmatchedIsTotal(t *testing.T) {
 	reps := genReports(t, 51, 3)
-	bothBackends(t, func(t *testing.T, opt MatchOptions) {
+	bothBackends(t, func(t *testing.T, opt ClassifyOptions) {
 		for i, rep := range reps {
 			labeled := RandEntries(uint64(900+i), rep, 200)
 			entries := Entries(labeled)
@@ -33,7 +39,7 @@ func TestPropMatchedPlusUnmatchedIsTotal(t *testing.T) {
 					skipped++
 				}
 			}
-			res := MatchReportOpts(rep, entries, opt)
+			res := matchWith(rep, entries, opt)
 			if res.TraceEntries != len(entries)-skipped {
 				t.Fatalf("app %d: TraceEntries = %d, want %d considered entries",
 					i, res.TraceEntries, len(entries)-skipped)
@@ -48,13 +54,13 @@ func TestPropMatchedPlusUnmatchedIsTotal(t *testing.T) {
 
 func TestPropStatsAdditiveAcrossEntries(t *testing.T) {
 	reps := genReports(t, 52, 3)
-	bothBackends(t, func(t *testing.T, opt MatchOptions) {
+	bothBackends(t, func(t *testing.T, opt ClassifyOptions) {
 		for i, rep := range reps {
 			entries := Entries(RandEntries(uint64(950+i), rep, 240))
-			full := MatchReportOpts(rep, entries, opt)
+			full := matchWith(rep, entries, opt)
 			for _, cut := range []int{0, 1, len(entries) / 3, len(entries) / 2, len(entries)} {
-				a := MatchReportOpts(rep, entries[:cut], opt)
-				b := MatchReportOpts(rep, entries[cut:], opt)
+				a := matchWith(rep, entries[:cut], opt)
+				b := matchWith(rep, entries[cut:], opt)
 				sum := func(f func(*MatchResult) siglang.ByteStats) siglang.ByteStats {
 					s := f(a)
 					s.Add(f(b))
@@ -91,9 +97,9 @@ func TestPropStatsAdditiveAcrossEntries(t *testing.T) {
 
 func TestPropEmptyTraceIsZero(t *testing.T) {
 	reps := genReports(t, 53, 2)
-	bothBackends(t, func(t *testing.T, opt MatchOptions) {
+	bothBackends(t, func(t *testing.T, opt ClassifyOptions) {
 		for i, rep := range reps {
-			res := MatchReportOpts(rep, nil, opt)
+			res := matchWith(rep, nil, opt)
 			if res.TraceEntries != 0 || res.MatchedEntries != 0 || len(res.Unmatched) != 0 {
 				t.Fatalf("app %d: empty trace counted entries: %+v", i, res)
 			}

@@ -66,31 +66,37 @@ func TestRandEntriesMixesVerdicts(t *testing.T) {
 
 // TestClassifyReproducesLabels is the exact-verdict gate: every entry's
 // best-match transaction must equal the label, for the interpretive
-// backend, the VM backend, and the VM backend under parallel fan-out —
-// and all three full results must be byte-identical.
+// backend and the VM backend at every fan-out width — serial, 2, 3 and 4
+// workers and one more worker than entries — and all full results must
+// be byte-identical. The second row's entry count is divisible by none of
+// the widths, so every chunking leaves a short last chunk.
 func TestClassifyReproducesLabels(t *testing.T) {
-	for i, rep := range genReports(t, 21, 4) {
-		labeled := RandEntries(uint64(100+i), rep, 250)
-		entries := Entries(labeled)
-		bundle := sigvm.Compile(rep)
-		interp := Classify(rep, entries, ClassifyOptions{})
-		vm := Classify(rep, entries, ClassifyOptions{VM: true, Bundle: bundle})
-		vmPar := Classify(rep, entries, ClassifyOptions{VM: true, Bundle: bundle, Workers: 4})
-
-		for j, le := range labeled {
-			if interp.Verdicts[j] != le.WantID {
-				t.Fatalf("app %d entry %d (%s %s): interp verdict %d, label %d",
-					i, j, le.Method, le.URL, interp.Verdicts[j], le.WantID)
+	for _, row := range []struct {
+		seed    uint64
+		entries int
+	}{
+		{seed: 21, entries: 250},
+		{seed: 22, entries: 251},
+	} {
+		for i, rep := range genReports(t, row.seed, 4) {
+			labeled := RandEntries(uint64(100+i), rep, row.entries)
+			entries := Entries(labeled)
+			bundle := sigvm.Compile(rep)
+			interp := Classify(rep, entries, ClassifyOptions{})
+			for j, le := range labeled {
+				if interp.Verdicts[j] != le.WantID {
+					t.Fatalf("seed %d app %d entry %d (%s %s): interp verdict %d, label %d",
+						row.seed, i, j, le.Method, le.URL, interp.Verdicts[j], le.WantID)
+				}
 			}
-		}
-		ji := mustJSON(t, interp)
-		jv := mustJSON(t, vm)
-		jp := mustJSON(t, vmPar)
-		if ji != jv {
-			t.Fatalf("app %d: interp and VM classifications differ:\n%s\n%s", i, ji, jv)
-		}
-		if jv != jp {
-			t.Fatalf("app %d: serial and parallel VM classifications differ:\n%s\n%s", i, jv, jp)
+			ji := mustJSON(t, interp)
+			for _, w := range []int{1, 2, 3, 4, len(entries) + 1} {
+				jv := mustJSON(t, Classify(rep, entries, ClassifyOptions{VM: true, Bundle: bundle, Workers: w}))
+				if ji != jv {
+					t.Fatalf("seed %d app %d: interp and %d-worker VM classifications differ:\n%s\n%s",
+						row.seed, i, w, ji, jv)
+				}
+			}
 		}
 	}
 }
@@ -110,7 +116,7 @@ func TestMatchReportVMEquivalence(t *testing.T) {
 		}
 		entries := FromNetwork(n.Trace())
 		want := MatchReport(rep, entries)
-		got := MatchReportOpts(rep, entries, MatchOptions{VM: true})
+		got := &Classify(rep, entries, ClassifyOptions{VM: true}).MatchResult
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s: backends disagree:\ninterp %+v\nvm     %+v", app.Spec.Name, want, got)
 		}
